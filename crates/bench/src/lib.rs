@@ -1,35 +1,21 @@
-//! # procsim-bench — the paper's experiment harness
+//! # procsim-bench — experiment binaries and micro-benchmarks
 //!
-//! One binary per figure of the evaluation section (`fig02` … `fig16`),
-//! an `all-figures` driver, and ablation binaries probing the design
-//! choices DESIGN.md calls out. Each figure binary regenerates the
-//! corresponding figure's data series (six curves:
-//! {GABL, Paging(0), MBS} × {FCFS, SSD}) as a table on stdout and a CSV
-//! under `results/`.
+//! The paper's figures are scenario files (`scenarios/figNN.toml`, run
+//! with `procsim campaign`). This crate holds what has no scenario-file
+//! port yet: the ablation and future-work binaries that need a knob the
+//! scenario format lacks (a windowed scheduler, page indexing, traffic
+//! patterns, the CM-5 and replayed-trace workloads, the busy-list probe),
+//! plus the criterion micro-benchmarks under `benches/`.
 //!
-//! ## Execution model
-//!
-//! Every binary funnels all of its (series × load) points — and all of
-//! each point's replications — through the workspace-wide worker pool
-//! ([`procsim_core::pool`]) as one batch: replications of different
-//! points interleave, so the pool stays saturated even while a slow
-//! saturated point converges. `--threads N` / `PROCSIM_THREADS` size the
-//! pool; results are bit-identical for any thread count (see
-//! `EXPERIMENTS.md` for the recorded runtimes).
-//!
-//! ## Load-axis calibration
-//!
-//! Our substrate is a reimplementation, not the authors' testbed: the
-//! absolute service times differ by a constant-ish factor, which shifts
-//! the saturation knee along the load axis. Figures therefore sweep loads
-//! spanning the *same operating regimes* as the paper (light load →
-//! saturation onset); EXPERIMENTS.md records the axis mapping and
-//! compares shapes, not absolute values.
+//! Each binary funnels all of its points — and all of each point's
+//! replications — through the workspace-wide worker pool
+//! ([`procsim_core::pool`]) as one batch ([`run_sweep`]). `--threads N`
+//! / `PROCSIM_THREADS` size the pool and `--full` selects the paper's
+//! protocol ([`RunMode`]); results are bit-identical for any thread
+//! count.
 
-pub mod figures;
 pub mod plot;
 pub mod runner;
 
-pub use figures::{figure, FigureSpec, Metric, WorkloadKind, ALL_FIGURES};
 pub use plot::ascii_chart;
-pub use runner::{ablation_args, run_figure, run_figure_main, run_sweep, FigureData, RunMode};
+pub use runner::{ablation_args, run_sweep, RunMode};

@@ -1,4 +1,4 @@
-//! Terminal line charts for the figure binaries — a rough visual of the
+//! Terminal line charts for the experiment binaries — a rough visual of the
 //! paper's plots without leaving the terminal.
 
 /// Renders series as an ASCII scatter/line chart. `series` is a list of

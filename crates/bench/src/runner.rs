@@ -1,20 +1,14 @@
-//! Figure execution: every (series × load) point of a figure is
-//! submitted to the shared worker pool as a batch of replications
-//! (table + CSV output).
+//! Fidelity knobs and the shared batch engine of the experiment
+//! binaries that have no scenario-file port yet (the paper's figures run
+//! through `procsim campaign scenarios/figNN.toml`).
 
-use crate::figures::{FigureSpec, WorkloadKind, TRACE_RUNTIME_SCALE};
-use procsim_core::{
-    derive_seed, pool, run_points_on, PointResult, ParagonModel, SchedulerKind, SideDist,
-    SimConfig, StrategyKind, TopologyKind, WorkloadSpec,
-};
-use std::io::Write;
-use std::path::Path;
+use procsim_core::{PointResult, SimConfig};
 
 /// Experiment fidelity and execution knobs.
 ///
 /// Start from [`RunMode::quick`] or [`RunMode::full`] (the paper's
 /// protocol) and adjust fields as needed; [`RunMode::from_args`] builds
-/// one from a figure binary's command line. The `threads` knob only
+/// one from an experiment binary's command line. The `threads` knob only
 /// changes wall-clock time, never results — see
 /// [`procsim_core::run_points_on`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,14 +24,10 @@ pub struct RunMode {
     /// Worker threads (`--threads N`); `None` defers to the global pool's
     /// size (`PROCSIM_THREADS` or the machine's available parallelism).
     pub threads: Option<usize>,
-    /// Network topology (`--topology mesh|torus`); the paper's figures
-    /// are mesh, the torus re-runs them under the §6 scenario (the CSV
-    /// gains a `_torus` suffix so mesh results are never overwritten).
-    pub topology: TopologyKind,
 }
 
 impl RunMode {
-    /// Reduced job counts and replication caps — minutes per figure.
+    /// Reduced job counts and replication caps — minutes per experiment.
     pub fn quick() -> RunMode {
         RunMode {
             warmup: 100,
@@ -45,7 +35,6 @@ impl RunMode {
             min_reps: 3,
             max_reps: 5,
             threads: None,
-            topology: TopologyKind::Mesh,
         }
     }
 
@@ -58,46 +47,52 @@ impl RunMode {
             min_reps: 5,
             max_reps: 20,
             threads: None,
-            topology: TopologyKind::Mesh,
         }
     }
 
-    /// Parses the figure-binary command line: `--full` selects the
-    /// paper's protocol, `--threads N` pins the worker count,
-    /// `--topology mesh|torus` selects the network.
+    /// Parses the experiment-binary command line: `--full` selects the
+    /// paper's protocol and `--threads N` pins the worker count. Any other
+    /// argument prints `error: …` and exits with status 2, so a flag the
+    /// binary does not implement (such as `--topology`) is never silently
+    /// ignored.
     pub fn from_args() -> RunMode {
-        let args: Vec<String> = std::env::args().collect();
-        let mut mode = if args.iter().any(|a| a == "--full") {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        RunMode::parse(&args).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// [`RunMode::from_args`] over an explicit argument list.
+    fn parse(args: &[String]) -> Result<RunMode, String> {
+        let mut full = false;
+        let mut threads = None;
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            match arg.as_str() {
+                "--full" => full = true,
+                "--threads" => {
+                    let n = it
+                        .next()
+                        .and_then(|s| s.parse::<usize>().ok())
+                        .filter(|&n| n >= 1)
+                        .ok_or("--threads needs a positive integer")?;
+                    threads = Some(n);
+                }
+                other => {
+                    return Err(format!(
+                        "unknown argument {other} (this binary takes --full and --threads N)"
+                    ))
+                }
+            }
+        }
+        let mut mode = if full {
             RunMode::full()
         } else {
             RunMode::quick()
         };
-        if let Some(i) = args.iter().position(|a| a == "--threads") {
-            let n = args
-                .get(i + 1)
-                .and_then(|s| s.parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or_else(|| {
-                    eprintln!("error: --threads needs a positive integer");
-                    std::process::exit(2)
-                });
-            mode.threads = Some(n);
-        }
-        if let Some(i) = args.iter().position(|a| a == "--topology") {
-            mode.topology = args
-                .get(i + 1)
-                .map(|s| {
-                    s.parse::<TopologyKind>().unwrap_or_else(|e| {
-                        eprintln!("error: {e}");
-                        std::process::exit(2)
-                    })
-                })
-                .unwrap_or_else(|| {
-                    eprintln!("error: --topology needs a value (mesh or torus)");
-                    std::process::exit(2)
-                });
-        }
-        mode
+        mode.threads = threads;
+        Ok(mode)
     }
 
     /// Whether this mode is at (or beyond) paper-grade fidelity.
@@ -115,186 +110,12 @@ impl RunMode {
     }
 }
 
-/// One figure's regenerated data: a point per (series, load).
-#[derive(Debug)]
-pub struct FigureData {
-    /// The figure this data regenerates.
-    pub spec: &'static FigureSpec,
-    /// Topology the figure was run on (mesh = the paper's protocol).
-    pub topology: TopologyKind,
-    /// Row-major: series outer, loads inner, matching
-    /// [`FigureData::series_labels`].
-    pub points: Vec<PointResult>,
-    /// One label per series, in `points` row order.
-    pub series_labels: Vec<String>,
-}
-
-/// The paper's six series.
-fn series() -> Vec<(StrategyKind, SchedulerKind)> {
-    let mut v = Vec::new();
-    for sched in SchedulerKind::PAPER {
-        for strat in StrategyKind::PAPER {
-            v.push((strat, sched));
-        }
-    }
-    v
-}
-
-fn workload_spec(kind: WorkloadKind, load: f64) -> WorkloadSpec {
-    match kind {
-        WorkloadKind::RealTrace => WorkloadSpec::SyntheticTrace {
-            model: ParagonModel::default(),
-            load,
-            runtime_scale: TRACE_RUNTIME_SCALE,
-        },
-        WorkloadKind::StochasticUniform => WorkloadSpec::Stochastic {
-            sides: SideDist::Uniform,
-            load,
-            num_mes: 5.0,
-        },
-        WorkloadKind::StochasticExponential => WorkloadSpec::Stochastic {
-            sides: SideDist::Exponential,
-            load,
-            num_mes: 5.0,
-        },
-    }
-}
-
-/// Runs all points of a figure by submitting every (series × load)
-/// combination — all replications of all points — to one shared worker
-/// pool. Replications of different points interleave freely, so the pool
-/// stays busy even while a slow saturated point converges.
-///
-/// Each point gets its own seed, derived from the figure seed by
-/// [`derive_seed`], so no two points share replication random streams.
-/// The result is bit-identical for any thread count.
-pub fn run_figure(spec: &'static FigureSpec, mode: RunMode, seed: u64) -> FigureData {
-    let cfgs: Vec<SimConfig> = series()
-        .into_iter()
-        .flat_map(|(strat, sched)| spec.loads.iter().map(move |&load| (strat, sched, load)))
-        .enumerate()
-        .map(|(slot, (strat, sched, load))| {
-            let mut cfg = SimConfig::paper(
-                strat,
-                sched,
-                workload_spec(spec.workload, load),
-                derive_seed(seed, slot as u64),
-            );
-            cfg.topology = mode.topology;
-            cfg.warmup_jobs = mode.warmup;
-            cfg.measured_jobs = mode.measured;
-            cfg
-        })
-        .collect();
-
-    let pool = pool::pool_with(mode.threads);
-    let points = run_points_on(&pool, &cfgs, mode.min_reps, mode.max_reps);
-
-    FigureData {
-        spec,
-        topology: mode.topology,
-        points,
-        series_labels: series()
-            .iter()
-            .map(|(st, sc)| format!("{st}({sc})"))
-            .collect(),
-    }
-}
-
-impl FigureData {
-    fn n_loads(&self) -> usize {
-        self.spec.loads.len()
-    }
-
-    /// The figure's headline value at (series s, load l).
-    pub fn value(&self, s: usize, l: usize) -> f64 {
-        self.points[s * self.n_loads() + l].means[self.spec.metric.index()]
-    }
-
-    /// CI half-width of the headline value at (series s, load l).
-    pub fn ci(&self, s: usize, l: usize) -> f64 {
-        self.points[s * self.n_loads() + l].ci95[self.spec.metric.index()]
-    }
-
-    /// Renders the figure as a text table (loads as rows, series as
-    /// columns), mirroring the paper's plotted curves.
-    pub fn table(&self) -> String {
-        let mut out = String::new();
-        match self.topology {
-            TopologyKind::Mesh => out.push_str(&format!("{}\n\n", self.spec.title())),
-            topo => out.push_str(&format!("{} [{topo}]\n\n", self.spec.title())),
-        }
-        out.push_str(&format!("{:>10}", "load"));
-        for lbl in &self.series_labels {
-            out.push_str(&format!(" {lbl:>16}"));
-        }
-        out.push('\n');
-        for (l, load) in self.spec.loads.iter().enumerate() {
-            out.push_str(&format!("{load:>10.5}"));
-            for s in 0..self.series_labels.len() {
-                out.push_str(&format!(" {:>16.2}", self.value(s, l)));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Writes `results/figNN.csv` with full metrics per point — or
-    /// `results/figNN_torus.csv` for a torus run, so the paper-protocol
-    /// mesh results are never overwritten by a §6 re-run.
-    pub fn write_csv(&self, dir: &Path) -> std::io::Result<std::path::PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(match self.topology {
-            TopologyKind::Mesh => format!("fig{:02}.csv", self.spec.id),
-            topo => format!("fig{:02}_{topo}.csv", self.spec.id),
-        });
-        let mut f = std::fs::File::create(&path)?;
-        writeln!(
-            f,
-            "figure,series,load,reps,turnaround,service,utilization,blocking,latency,fragments,\
-             ci_turnaround,ci_service,ci_utilization,ci_blocking,ci_latency,ci_fragments"
-        )?;
-        for (s, lbl) in self.series_labels.iter().enumerate() {
-            for (l, load) in self.spec.loads.iter().enumerate() {
-                let p = &self.points[s * self.n_loads() + l];
-                writeln!(
-                    f,
-                    "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                    self.spec.id,
-                    lbl,
-                    load,
-                    p.replications,
-                    p.means[0],
-                    p.means[1],
-                    p.means[2],
-                    p.means[3],
-                    p.means[4],
-                    p.means[5],
-                    p.ci95[0],
-                    p.ci95[1],
-                    p.ci95[2],
-                    p.ci95[3],
-                    p.ci95[4],
-                    p.ci95[5],
-                )?;
-            }
-        }
-        Ok(path)
-    }
-}
-
 /// Shared preamble of the ablation / future-work binaries: parses
 /// `--full` and `--threads N`, sizes the global worker pool, and returns
 /// whether paper-grade fidelity was requested. All the binary's points
 /// then go through [`run_sweep`] as one batch.
 pub fn ablation_args() -> bool {
     let mode = RunMode::from_args();
-    if mode.topology != TopologyKind::Mesh {
-        // the ablation/future-work bins build their own configs and
-        // would silently run mesh regardless; refuse rather than mislabel
-        eprintln!("error: this binary does not take --topology (its sweep fixes the topology)");
-        std::process::exit(2);
-    }
     if let Some(n) = mode.threads {
         if !procsim_core::pool::configure_global(n) {
             eprintln!("warning: global pool already sized; --threads {n} ignored");
@@ -305,7 +126,7 @@ pub fn ablation_args() -> bool {
 
 /// Shared engine of the ablation / future-work binaries: builds one
 /// config per combo (`make_cfg` receives the combo's index, for seed
-/// derivation à la [`derive_seed`]), runs the whole batch on the shared
+/// derivation à la [`procsim_core::derive_seed`]), runs the whole batch on the shared
 /// worker pool, and hands each `(index, combo, result)` to `row` in
 /// input order (print the table there; a blank group separator is
 /// emitted every `group` rows).
@@ -331,148 +152,13 @@ pub fn run_sweep<T: Copy>(
     }
 }
 
-/// Shared main() of the per-figure binaries: run, print, save CSV.
-///
-/// Recognized flags: `--full` (paper-grade fidelity), `--threads N`
-/// (worker-pool size; defaults to `PROCSIM_THREADS` or all cores),
-/// `--topology mesh|torus` (the §6 torus re-run of a figure; its CSV is
-/// suffixed `_torus` so the mesh results survive), and `--golden`
-/// (pinned reduced fidelity; the CSV goes to `results/golden/` — the
-/// regeneration protocol of the checked-in figure goldens the campaign
-/// scenarios under `scenarios/` must byte-match, see `docs/CAMPAIGNS.md`).
-pub fn run_figure_main(id: u8) {
-    let mut mode = RunMode::from_args();
-    let golden = std::env::args().any(|a| a == "--golden");
-    if golden {
-        // the fidelity of the checked-in golden CSVs: small enough for a
-        // CI step, deterministic because min_reps == max_reps (mirrors
-        // mesh_vs_torus --golden)
-        mode.warmup = 30;
-        mode.measured = 120;
-        mode.min_reps = 2;
-        mode.max_reps = 2;
-    }
-    if let Some(n) = mode.threads {
-        // size the process-wide pool so every figure of this run (e.g.
-        // all_figures) shares it; run_figure falls back to a dedicated
-        // pool only if the global one was already sized differently
-        let _ = procsim_core::pool::configure_global(n);
-    }
-    let spec = crate::figures::figure(id);
-    eprintln!(
-        "running figure {id} in {} mode on the {} ({} points, {} worker threads)...",
-        mode.label(),
-        mode.topology,
-        spec.loads.len() * 6,
-        mode.threads.unwrap_or_else(pool::default_threads)
-    );
-    let t0 = std::time::Instant::now();
-    let data = run_figure(spec, mode, 0xF16 + id as u64);
-    println!("{}", data.table());
-    if spec.loads.len() > 1 {
-        let series: Vec<(String, Vec<f64>)> = data
-            .series_labels
-            .iter()
-            .enumerate()
-            .map(|(s, lbl)| {
-                (
-                    lbl.clone(),
-                    (0..spec.loads.len()).map(|l| data.value(s, l)).collect(),
-                )
-            })
-            .collect();
-        println!(
-            "{}",
-            crate::plot::ascii_chart(&spec.title(), spec.loads, &series, 64, 18)
-        );
-    }
-    let out_dir = if golden {
-        Path::new("results/golden")
-    } else {
-        Path::new("results")
-    };
-    match data.write_csv(out_dir) {
-        Ok(p) => eprintln!("wrote {} ({:.1}s)", p.display(), t0.elapsed().as_secs_f64()),
-        Err(e) => eprintln!("CSV write failed: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::Metric;
 
-    #[test]
-    fn series_order_matches_paper_legend() {
-        let s = series();
-        assert_eq!(s.len(), 6);
-        // FCFS block first, then SSD, GABL first within each
-        assert_eq!(format!("{}({})", s[0].0, s[0].1), "GABL(FCFS)");
-        assert_eq!(format!("{}({})", s[3].0, s[3].1), "GABL(SSD)");
-        assert_eq!(format!("{}({})", s[5].0, s[5].1), "MBS(SSD)");
-    }
-
-    #[test]
-    fn figure_data_is_thread_count_invariant() {
-        // A miniature figure: the full 6-series sweep at one load, with
-        // job counts small enough for a unit test. The rendered table and
-        // every point's statistics must be byte-identical whatever the
-        // worker-pool size.
-        static TINY: FigureSpec = FigureSpec {
-            id: 99,
-            metric: Metric::Turnaround,
-            workload: WorkloadKind::StochasticUniform,
-            loads: &[0.001],
-        };
-        let mut mode = RunMode::quick();
-        mode.warmup = 5;
-        mode.measured = 40;
-        mode.min_reps = 2;
-        mode.max_reps = 2;
-        mode.threads = Some(1);
-        let a = run_figure(&TINY, mode, 0xBEEF);
-        mode.threads = Some(4);
-        let b = run_figure(&TINY, mode, 0xBEEF);
-        assert_eq!(a.table(), b.table());
-        assert_eq!(a.points.len(), b.points.len());
-        for (pa, pb) in a.points.iter().zip(&b.points) {
-            assert_eq!(pa.means, pb.means);
-            assert_eq!(pa.ci95, pb.ci95);
-            assert_eq!(pa.replications, pb.replications);
-            assert_eq!(pa.stop, pb.stop);
-        }
-    }
-
-    #[test]
-    fn figure_points_have_distinct_seeds() {
-        // Two series at the same load must not produce correlated streams:
-        // GABL and MBS columns of the tiny figure above would be identical
-        // per-replication workloads if the per-point seed derivation
-        // regressed to sharing the figure seed.
-        static TINY: FigureSpec = FigureSpec {
-            id: 98,
-            metric: Metric::Turnaround,
-            workload: WorkloadKind::StochasticUniform,
-            loads: &[0.001, 0.002],
-        };
-        let mut mode = RunMode::quick();
-        mode.warmup = 5;
-        mode.measured = 40;
-        mode.min_reps = 2;
-        mode.max_reps = 2;
-        let data = run_figure(&TINY, mode, 7);
-        // same strategy, same scheduler block, different loads -> the
-        // loads differ, so nothing to compare there; instead check the
-        // same load under FCFS vs SSD at light load (queue rarely busy,
-        // so identical streams would give identical means)
-        let n_loads = TINY.loads.len();
-        let p_fcfs = &data.points[n_loads]; // series 1 = Paging(FCFS), load 0
-        let p_ssd = &data.points[4 * n_loads]; // series 4 = Paging(SSD), load 0
-        assert_eq!(p_fcfs.load, p_ssd.load);
-        assert_ne!(
-            p_fcfs.means, p_ssd.means,
-            "distinct points produced identical statistics: shared seed streams?"
-        );
+    fn parse(args: &[&str]) -> Result<RunMode, String> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        RunMode::parse(&args)
     }
 
     #[test]
@@ -483,50 +169,30 @@ mod tests {
         assert_eq!(f.measured, 1000, "paper protocol: 1000 measured jobs");
         assert_eq!((f.min_reps, f.max_reps), (5, 20));
         assert_eq!(q.threads, None);
-        assert_eq!(q.topology, TopologyKind::Mesh, "paper protocol is mesh");
         assert_eq!(q.label(), "quick");
         assert_eq!(f.label(), "full");
     }
 
     #[test]
-    fn torus_figure_is_labelled_and_separately_named() {
-        static TINY: FigureSpec = FigureSpec {
-            id: 97,
-            metric: Metric::Turnaround,
-            workload: WorkloadKind::StochasticUniform,
-            loads: &[0.001],
-        };
-        let mut mode = RunMode::quick();
-        mode.warmup = 5;
-        mode.measured = 40;
-        mode.min_reps = 2;
-        mode.max_reps = 2;
-        mode.topology = TopologyKind::Torus;
-        let data = run_figure(&TINY, mode, 0xF16);
-        assert!(data.table().contains("[torus]"), "{}", data.table());
-        // the torus CSV must not clobber the mesh figure's results
-        let dir = std::env::temp_dir().join("procsim_torus_fig_test");
-        let path = data.write_csv(&dir).unwrap();
-        assert!(path.ends_with("fig97_torus.csv"), "{}", path.display());
-        mode.topology = TopologyKind::Mesh;
-        let mesh = run_figure(&TINY, mode, 0xF16);
-        assert!(!mesh.table().contains("[mesh]"), "mesh is the unmarked default");
-        assert_ne!(
-            data.points[0].means, mesh.points[0].means,
-            "same seeds, different topology must change the physics"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+    fn parse_accepts_full_and_threads_in_any_order() {
+        assert_eq!(parse(&[]), Ok(RunMode::quick()));
+        let mut want = RunMode::full();
+        want.threads = Some(3);
+        assert_eq!(parse(&["--threads", "3", "--full"]), Ok(want));
+        assert_eq!(parse(&["--full", "--threads", "3"]), Ok(want));
     }
 
     #[test]
-    fn workload_spec_loads() {
-        for kind in [
-            WorkloadKind::RealTrace,
-            WorkloadKind::StochasticUniform,
-            WorkloadKind::StochasticExponential,
-        ] {
-            let w = workload_spec(kind, 0.003);
-            assert!((w.load() - 0.003).abs() < 1e-12);
+    fn parse_rejects_anything_else() {
+        let err = parse(&["--topology", "torus"]).unwrap_err();
+        assert!(err.contains("unknown argument --topology"), "{err}");
+        assert!(parse(&["--golden"]).is_err());
+        for bad in [&["--threads"][..], &["--threads", "0"], &["--threads", "x"]] {
+            let err = parse(bad).unwrap_err();
+            assert!(
+                err.contains("--threads needs a positive integer"),
+                "{bad:?}: {err}"
+            );
         }
     }
 }

@@ -262,6 +262,49 @@ fn seed_axes_pair_excluded_axes() {
     assert_ne!(points[0].hash, points[2].hash);
 }
 
+/// Every checked-in scenario loads and expands, and every golden CSV
+/// other than the `procsim trace` golden has the scenario that
+/// regenerates it, so CI's golden loop (which walks the scenarios with
+/// a golden) can never skip one. No simulation runs.
+#[test]
+fn checked_in_scenarios_load_and_cover_every_golden() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let stems = |dir: &str, ext: &str| -> Vec<String> {
+        let mut v: Vec<String> = std::fs::read_dir(root.join(dir))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == ext))
+            .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+            .collect();
+        v.sort();
+        v
+    };
+    let scenarios = stems("scenarios", "toml");
+    for name in &scenarios {
+        let path = root.join(format!("scenarios/{name}.toml"));
+        let s = Scenario::load(&path).unwrap_or_else(|e| panic!("{name}.toml: {e}"));
+        assert_eq!(&s.name, name, "campaign name must match the file stem");
+        let points = expand(&s).unwrap_or_else(|e| panic!("{name}.toml: {e}"));
+        assert!(!points.is_empty(), "{name}.toml expands to no points");
+    }
+    for id in 2..=16 {
+        let fig = format!("fig{id:02}");
+        assert!(
+            scenarios.contains(&fig),
+            "paper figure {id} has no scenarios/{fig}.toml"
+        );
+    }
+    for golden in stems("results/golden", "csv") {
+        if golden == "trace_sample" {
+            continue; // the `procsim trace` golden, not a campaign
+        }
+        assert!(
+            scenarios.contains(&golden),
+            "results/golden/{golden}.csv has no scenarios/{golden}.toml"
+        );
+    }
+}
+
 #[test]
 fn expand_rejects_contradictory_reps() {
     let s = Scenario::parse(

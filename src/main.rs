@@ -1,5 +1,6 @@
-//! `procsim` CLI — run a single configuration, a load sweep, or a trace
-//! replay from the command line.
+//! `procsim` CLI — run a single configuration, a trace replay, or a
+//! declarative campaign (every paper figure is one: `scenarios/figNN.toml`)
+//! from the command line.
 //!
 //! ```text
 //! procsim run   [--strategy gabl|paging0|mbs|ff|bf|random|mc]
@@ -8,7 +9,6 @@
 //!               [--topology mesh|torus]
 //!               [--load 0.0008] [--jobs 400] [--seed 42]
 //!               [--reps N] [--threads N]
-//! procsim sweep [same flags] --loads 0.0002,0.0004,0.0008
 //! procsim trace <file.swf> [--load 0.7] [--strategy S|all] [--scheduler P]
 //!               [--topology mesh|torus] [--scale 360] [--jobs N] [--reps R]
 //!               [--seed K] [--csv PATH]
@@ -17,11 +17,15 @@
 //!               [--dry-run] [--threads N]
 //! ```
 //!
-//! Every simulating subcommand takes `--topology {mesh,torus}` (`--torus`
-//! is a legacy alias for `--topology torus`): the same workload, strategy,
-//! and seeds drive either network, so a mesh run and a torus run differ
-//! only in the wraparound links and the dateline virtual channels — see
+//! `run` and `trace` take `--topology {mesh,torus}` (a campaign sets
+//! `topology` in its scenario file): the same workload, strategy, and
+//! seeds drive either network, so a mesh run and a torus run differ only
+//! in the wraparound links and the dateline virtual channels — see
 //! `docs/TOPOLOGIES.md`.
+//!
+//! A flag the subcommand does not take, a valued flag without its value,
+//! and a malformed number are usage errors: `error: …` on stderr and
+//! exit status 2, never a silent default or a panic.
 //!
 //! `trace` replays an SWF archive file at a target **offered load**
 //! (`--load 0.7` = the scaled trace occupies 70 % of machine capacity in
@@ -41,20 +45,62 @@ use std::io::Write;
 use std::sync::Arc;
 
 struct Args {
-    map: std::collections::HashMap<String, String>,
+    map: std::collections::BTreeMap<String, String>,
     flags: Vec<String>,
     positional: Vec<String>,
 }
 
-fn parse_args(args: &[String]) -> Args {
-    let mut map = std::collections::HashMap::new();
+/// The flags a subcommand accepts: options that take a value, then bare
+/// switches (which never consume the following argument). `None` for
+/// the usage screen, which takes no flags.
+fn accepted_flags(cmd: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
+    Some(match cmd {
+        "run" => (
+            &[
+                "strategy",
+                "scheduler",
+                "workload",
+                "topology",
+                "load",
+                "jobs",
+                "seed",
+                "reps",
+                "threads",
+            ],
+            &[],
+        ),
+        // `factor` is accepted only to die with its migration message
+        "trace" => (
+            &[
+                "load",
+                "strategy",
+                "scheduler",
+                "topology",
+                "scale",
+                "jobs",
+                "reps",
+                "seed",
+                "csv",
+                "threads",
+                "factor",
+            ],
+            &[],
+        ),
+        "gen-trace" => (&["model", "jobs", "seed"], &[]),
+        "campaign" => (&["cache", "csv", "threads"], &["force", "dry-run"]),
+        _ => return None,
+    })
+}
+
+fn parse_args(args: &[String], switches: &[&str]) -> Args {
+    let mut map = std::collections::BTreeMap::new();
     let mut flags = Vec::new();
     let mut positional = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
         if let Some(key) = a.strip_prefix("--") {
-            if i + 1 < args.len() && !args[i + 1].starts_with("--") {
+            if !switches.contains(&key) && i + 1 < args.len() && !args[i + 1].starts_with("--") {
                 map.insert(key.to_string(), args[i + 1].clone());
                 i += 2;
             } else {
@@ -73,6 +119,35 @@ fn parse_args(args: &[String]) -> Args {
     }
 }
 
+/// Dies on any flag outside the subcommand's accepted set, and on a
+/// valued flag given without its value.
+fn check_flags(a: &Args, values: &[&str], switches: &[&str]) {
+    for key in a.map.keys() {
+        if !values.contains(&key.as_str()) {
+            die(&format!("unknown flag --{key}"));
+        }
+    }
+    for key in &a.flags {
+        if values.contains(&key.as_str()) {
+            // the value was missing (or swallowed by a following flag);
+            // falling back to a default would silently ignore the user
+            die(&format!("--{key} needs a value"));
+        }
+        if !switches.contains(&key.as_str()) {
+            die(&format!("unknown flag --{key}"));
+        }
+    }
+}
+
+/// Reads `--key` as a number (`None` when absent); a malformed value is
+/// a usage error naming the flag.
+fn num<T: std::str::FromStr>(a: &Args, key: &str) -> Option<T> {
+    a.map.get(key).map(|s| {
+        s.parse()
+            .unwrap_or_else(|_| die(&format!("bad --{key} value '{s}' (expected a number)")))
+    })
+}
+
 fn strategy_of(name: &str) -> StrategyKind {
     // the scenario format and the CLI share one spelling (FromStr)
     name.parse().unwrap_or_else(|e: String| die(&e))
@@ -88,27 +163,11 @@ fn die(msg: &str) -> ! {
     std::process::exit(2)
 }
 
-/// Reads the run topology from `--topology mesh|torus` (or the legacy
-/// `--torus` flag). The two spellings must agree if both appear.
+/// Reads the run topology from `--topology mesh|torus` (mesh when absent).
 fn topology_of(a: &Args) -> TopologyKind {
-    if a.flags.iter().any(|f| f == "topology") {
-        // the value was missing (or swallowed by a following flag);
-        // falling back to mesh would silently ignore the user's choice
-        die("--topology needs a value (mesh or torus)");
-    }
-    let named = a
-        .map
-        .get("topology")
-        .map(|s| s.parse::<TopologyKind>().unwrap_or_else(|e| die(&e)));
-    let legacy_torus = a.flags.iter().any(|f| f == "torus");
-    match (named, legacy_torus) {
-        (Some(TopologyKind::Mesh), true) => {
-            die("--topology mesh contradicts --torus (drop one)")
-        }
-        (Some(t), _) => t,
-        (None, true) => TopologyKind::Torus,
-        (None, false) => TopologyKind::Mesh,
-    }
+    a.map.get("topology").map_or(TopologyKind::Mesh, |s| {
+        s.parse().unwrap_or_else(|e: String| die(&e))
+    })
 }
 
 fn workload_of(name: &str, load: f64) -> WorkloadSpec {
@@ -141,10 +200,10 @@ fn config_from(a: &Args, load: f64) -> SimConfig {
     let strategy = strategy_of(a.map.get("strategy").map(|s| s.as_str()).unwrap_or("gabl"));
     let scheduler = scheduler_of(a.map.get("scheduler").map(|s| s.as_str()).unwrap_or("fcfs"));
     let workload = workload_of(a.map.get("workload").map(|s| s.as_str()).unwrap_or("uniform"), load);
-    let seed: u64 = a.map.get("seed").map(|s| s.parse().expect("bad --seed")).unwrap_or(42);
+    let seed: u64 = num(a, "seed").unwrap_or(42);
     let mut cfg = SimConfig::paper(strategy, scheduler, workload, seed);
     cfg.topology = topology_of(a);
-    let jobs: usize = a.map.get("jobs").map(|s| s.parse().expect("bad --jobs")).unwrap_or(400);
+    let jobs: usize = num(a, "jobs").unwrap_or(400);
     cfg.measured_jobs = jobs;
     cfg.warmup_jobs = (jobs / 4).max(10);
     cfg
@@ -212,7 +271,7 @@ fn run_trace(a: &Args, reps: usize) {
         machine
     );
 
-    if a.map.contains_key("factor") || a.flags.iter().any(|f| f == "factor") {
+    if a.map.contains_key("factor") {
         // the pre-offered-load flag; ignoring it silently would replay at
         // a different load than the caller asked for
         die(
@@ -220,20 +279,12 @@ fn run_trace(a: &Args, reps: usize) {
              a factor f corresponds to --load <native_load / f> — see docs/WORKLOADS.md",
         );
     }
-    let load: f64 = a
-        .map
-        .get("load")
-        .map(|s| s.parse().expect("bad --load"))
-        .unwrap_or(0.7);
+    let load: f64 = num(a, "load").unwrap_or(0.7);
     // `!(x > 0.0)` also rejects NaN, which `x <= 0.0` would let through
     if !(load > 0.0 && load.is_finite()) {
         die("--load must be a positive number (offered-load fraction, e.g. 0.7)");
     }
-    let scale: f64 = a
-        .map
-        .get("scale")
-        .map(|s| s.parse().expect("bad --scale"))
-        .unwrap_or(360.0);
+    let scale: f64 = num(a, "scale").unwrap_or(360.0);
     if !(scale > 0.0 && scale.is_finite()) {
         die("--scale must be a positive number (seconds of runtime per message)");
     }
@@ -249,8 +300,8 @@ fn run_trace(a: &Args, reps: usize) {
         Some(name) => vec![strategy_of(name)],
     };
     let scheduler = scheduler_of(a.map.get("scheduler").map(|s| s.as_str()).unwrap_or("fcfs"));
-    let seed: u64 = a.map.get("seed").map(|s| s.parse().expect("bad --seed")).unwrap_or(42);
-    let req_jobs: usize = a.map.get("jobs").map(|s| s.parse().expect("bad --jobs")).unwrap_or(400);
+    let seed: u64 = num(a, "seed").unwrap_or(42);
+    let req_jobs: usize = num(a, "jobs").unwrap_or(400);
     // a replication only sees trace.len() arrivals (the segment wraps the
     // stream exactly once), so cap warmup + measurement to what the trace
     // can feed
@@ -371,8 +422,8 @@ fn run_gen_trace(a: &Args) {
         .first()
         .unwrap_or_else(|| die("gen-trace needs an output .swf path"));
     let model = a.map.get("model").map(|s| s.as_str()).unwrap_or("paragon");
-    let jobs: usize = a.map.get("jobs").map(|s| s.parse().expect("bad --jobs")).unwrap_or(600);
-    let seed: u64 = a.map.get("seed").map(|s| s.parse().expect("bad --seed")).unwrap_or(2008);
+    let jobs: usize = num(a, "jobs").unwrap_or(600);
+    let seed: u64 = num(a, "seed").unwrap_or(2008);
     if let Some(dir) = std::path::Path::new(out).parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("mkdir: {e}")));
@@ -493,10 +544,14 @@ fn run_campaign_cmd(a: &Args) {
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let cmd = argv.first().map(|s| s.as_str()).unwrap_or("help");
-    let a = parse_args(&argv[1.min(argv.len())..]);
-    let reps: usize = a.map.get("reps").map(|s| s.parse().expect("bad --reps")).unwrap_or(3);
-    if let Some(n) = a.map.get("threads") {
-        let n: usize = n.parse().expect("bad --threads");
+    let accepted = accepted_flags(cmd);
+    let switches = accepted.map_or(&[][..], |(_, switches)| switches);
+    let a = parse_args(&argv[1.min(argv.len())..], switches);
+    if let Some((values, switches)) = accepted {
+        check_flags(&a, values, switches);
+    }
+    let reps: usize = num(&a, "reps").unwrap_or(3);
+    if let Some(n) = num::<usize>(&a, "threads") {
         if !procsim::pool::configure_global(n.max(1)) {
             eprintln!("warning: worker pool already sized; --threads {n} ignored");
         }
@@ -504,38 +559,19 @@ fn main() {
 
     match cmd {
         "run" => {
-            let load: f64 = a
-                .map
-                .get("load")
-                .map(|s| s.parse().expect("bad --load"))
-                .unwrap_or(0.0008);
+            let load: f64 = num(&a, "load").unwrap_or(0.0008);
             let cfg = config_from(&a, load);
             print_point(&cfg, reps);
-        }
-        "sweep" => {
-            let loads: Vec<f64> = a
-                .map
-                .get("loads")
-                .expect("sweep needs --loads a,b,c")
-                .split(',')
-                .map(|s| s.trim().parse().expect("bad load value"))
-                .collect();
-            // one batch: every load's replications share the worker pool
-            let cfgs: Vec<SimConfig> = loads.iter().map(|&l| config_from(&a, l)).collect();
-            for p in run_points(&cfgs, reps.max(2), reps.max(2) * 2) {
-                print_result(&p);
-            }
         }
         "trace" => run_trace(&a, reps),
         "gen-trace" => run_gen_trace(&a),
         "campaign" => run_campaign_cmd(&a),
-        _ => {
+        "help" | "--help" | "-h" => {
             println!("procsim — 2D mesh processor allocation & scheduling simulator");
             println!("(IPDPS 2008 reproduction; see README.md)\n");
             println!("usage:");
             println!("  procsim run   [--strategy S] [--scheduler P] [--workload W] [--load L]");
             println!("                [--topology T] [--jobs N] [--seed K] [--reps R] [--threads T]");
-            println!("  procsim sweep --loads a,b,c [same flags]");
             println!("  procsim trace <file.swf> [--load RHO] [--strategy S|all] [--scheduler P]");
             println!("                [--topology T] [--scale S] [--jobs N] [--reps R] [--seed K]");
             println!("                [--csv PATH]");
@@ -546,12 +582,13 @@ fn main() {
             println!("campaign runs a declarative scenario file (see docs/CAMPAIGNS.md and");
             println!("scenarios/): the cross-product of its matrix, cached per point on disk,");
             println!("so interrupted or extended campaigns resume by rerunning only what's");
-            println!("missing — output is byte-identical at any thread count.");
+            println!("missing — output is byte-identical at any thread count. Every paper");
+            println!("figure is one: procsim campaign scenarios/fig02.toml (figures 2-16).");
             println!();
             println!("strategies: gabl paging0 paging1 mbs ff bf random mc");
             println!("schedulers: fcfs ssd sjf ljf easy");
             println!("workloads:  uniform exponential paragon cm5");
-            println!("topologies: mesh torus   (--torus = legacy alias; docs/TOPOLOGIES.md)");
+            println!("topologies: mesh torus   (docs/TOPOLOGIES.md)");
             println!();
             println!("trace --load is the target offered load (fraction of machine capacity");
             println!("in trace time, e.g. 0.7); see docs/WORKLOADS.md for the scaling math.");
@@ -561,5 +598,8 @@ fn main() {
             println!("replications run on a shared worker pool; size it with --threads N");
             println!("or PROCSIM_THREADS=N (results are identical for any thread count)");
         }
+        other => die(&format!(
+            "unknown command '{other}' (run, trace, gen-trace, campaign, help)"
+        )),
     }
 }

@@ -1,6 +1,6 @@
-//! CLI tests of the `--topology` run dimension: flag parsing (including
-//! the legacy `--torus` alias and the error paths) and torus trace
-//! replay through the real binary.
+//! CLI tests of flag parsing — the `--topology` run dimension, and the
+//! usage errors (exit 2) for unknown flags and malformed numbers — and
+//! torus trace replay through the real binary.
 
 use std::process::Command;
 
@@ -41,14 +41,34 @@ fn run_accepts_both_topologies() {
 }
 
 #[test]
-fn legacy_torus_flag_is_an_alias() {
-    let named = tiny_run(&["--topology", "torus"]);
-    let legacy = tiny_run(&["--torus"]);
-    assert!(legacy.status.success());
-    assert_eq!(
-        named.stdout, legacy.stdout,
-        "--torus must mean exactly --topology torus"
-    );
+fn removed_and_misspelled_flags_are_rejected() {
+    // the retired `--torus` alias and a typo must not silently run the
+    // defaults (mesh, GABL): both are usage errors naming the flag
+    for (args, flag) in [
+        (&["--torus"][..], "--torus"),
+        (&["--stratgy", "mbs"][..], "--stratgy"),
+    ] {
+        let out = tiny_run(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must not run anything");
+    }
+    // ... and so is the retired `sweep` subcommand
+    let out = procsim(&["sweep", "--loads", "0.001"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown command 'sweep'"), "{stderr}");
+}
+
+#[test]
+fn malformed_number_is_a_usage_error() {
+    // exit 2 with the flag named, not a panic (exit 101)
+    let out = procsim(&["run", "--reps", "abc"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--reps"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]
@@ -76,16 +96,10 @@ fn bare_topology_flag_is_rejected() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--topology needs a value"), "{stderr}");
     // ... including when the next token is another flag
-    let out = tiny_run(&["--topology", "--torus"]);
-    assert!(!out.status.success(), "--topology --torus must not parse as torus");
-}
-
-#[test]
-fn contradictory_topology_flags_are_rejected() {
-    let out = tiny_run(&["--topology", "mesh", "--torus"]);
-    assert!(!out.status.success());
+    let out = tiny_run(&["--topology", "--seed", "3"]);
+    assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--topology mesh contradicts --torus"), "{stderr}");
+    assert!(stderr.contains("--topology needs a value"), "{stderr}");
 }
 
 #[test]

@@ -39,7 +39,7 @@ fn trace_ranking_gabl_first() {
     // the paper's headline: on the real workload GABL beats the other
     // non-contiguous strategies. Service/latency/blocking are
     // low-variance and asserted under FCFS; FCFS *turnaround* on a
-    // heavy-tailed trace needs figure-scale replication (see fig02), so
+    // heavy-tailed trace needs figure-scale replication (see scenarios/fig02.toml), so
     // the turnaround ranking is asserted under SSD here.
     let point = |strategy, scheduler| {
         let mut cfg = SimConfig::paper(strategy, scheduler, trace(0.001), 2718);
