@@ -40,21 +40,38 @@ fn run_accepts_both_topologies() {
     assert_eq!(default.stdout, mesh.stdout, "default topology must be mesh");
 }
 
+/// Asserts `args` is a usage error (exit 2) naming `flag` as unknown, and
+/// that nothing ran.
+fn assert_unknown_flag(args: &[&str], flag: &str) {
+    let out = tiny_run(args);
+    assert_eq!(out.status.code(), Some(2), "{args:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+    assert!(out.stdout.is_empty(), "{args:?} must not run anything");
+}
+
+/// `--torus` used to be an alias for `--topology torus`. The alias is
+/// retired: it must not silently run the default mesh, so it is a usage
+/// error naming the flag, while `--topology torus` still runs.
+#[test]
+fn legacy_torus_flag_is_an_alias() {
+    assert_unknown_flag(&["--torus"], "--torus");
+    let named = tiny_run(&["--topology", "torus"]);
+    assert!(named.status.success(), "{}", String::from_utf8_lossy(&named.stderr));
+}
+
+#[test]
+fn contradictory_topology_flags_are_rejected() {
+    // with the alias retired, `--topology mesh --torus` fails on the
+    // unknown flag rather than running either topology
+    assert_unknown_flag(&["--topology", "mesh", "--torus"], "--torus");
+}
+
 #[test]
 fn removed_and_misspelled_flags_are_rejected() {
-    // the retired `--torus` alias and a typo must not silently run the
-    // defaults (mesh, GABL): both are usage errors naming the flag
-    for (args, flag) in [
-        (&["--torus"][..], "--torus"),
-        (&["--stratgy", "mbs"][..], "--stratgy"),
-    ] {
-        let out = tiny_run(args);
-        assert_eq!(out.status.code(), Some(2), "{args:?}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
-        assert!(out.stdout.is_empty(), "{args:?} must not run anything");
-    }
-    // ... and so is the retired `sweep` subcommand
+    // a typo must not silently run the defaults (mesh, GABL)
+    assert_unknown_flag(&["--stratgy", "mbs"], "--stratgy");
+    // ... and neither may the retired `sweep` subcommand
     let out = procsim(&["sweep", "--loads", "0.001"]);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
