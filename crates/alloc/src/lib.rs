@@ -215,8 +215,9 @@ impl core::str::FromStr for StrategyKind {
     type Err = String;
 
     /// Parses the CLI / scenario-file spelling: `gabl`, `paging0` ..
-    /// `paging3` (row-major), `mbs`, `ff`, `bf`, `random`, `mc`
-    /// (case-insensitive).
+    /// `paging3` (row-major), `paging<i>-<indexing>` with a
+    /// [`PageIndexing`] display name (e.g. `paging0-snake-like`), `mbs`,
+    /// `ff`, `bf`, `random`, `mc` (case-insensitive).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "gabl" => Ok(StrategyKind::Gabl),
@@ -226,21 +227,25 @@ impl core::str::FromStr for StrategyKind {
             "random" => Ok(StrategyKind::Random),
             "mc" => Ok(StrategyKind::Mc),
             other => {
-                if let Some(idx) = other.strip_prefix("paging") {
-                    if let Ok(size_index) = idx.parse::<u8>() {
-                        if size_index <= 3 {
-                            return Ok(StrategyKind::Paging {
-                                size_index,
-                                indexing: PageIndexing::RowMajor,
-                            });
-                        }
-                    }
-                    return Err(format!(
-                        "unknown paging variant '{other}' (paging0 .. paging3)"
-                    ));
+                if let Some(variant) = other.strip_prefix("paging") {
+                    let (idx, indexing) = match variant.split_once('-') {
+                        Some((idx, name)) => (idx, name.parse::<PageIndexing>()?),
+                        None => (variant, PageIndexing::RowMajor),
+                    };
+                    return match idx.parse::<u8>() {
+                        Ok(size_index) if size_index <= 3 => Ok(StrategyKind::Paging {
+                            size_index,
+                            indexing,
+                        }),
+                        _ => Err(format!(
+                            "unknown paging variant '{other}' (paging0 .. paging3, \
+                             optionally -<indexing>, e.g. paging0-snake-like)"
+                        )),
+                    };
                 }
                 Err(format!(
-                    "unknown strategy '{other}' (gabl, paging0..paging3, mbs, ff, bf, random, mc)"
+                    "unknown strategy '{other}' (gabl, paging0..paging3[-<indexing>], mbs, ff, \
+                     bf, random, mc)"
                 ))
             }
         }
@@ -248,10 +253,19 @@ impl core::str::FromStr for StrategyKind {
 }
 
 impl core::fmt::Display for StrategyKind {
+    /// The paper's notation; a non-row-major Paging names its indexing,
+    /// e.g. `Paging(0,snake-like)`.
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match *self {
             StrategyKind::Gabl => write!(f, "GABL"),
-            StrategyKind::Paging { size_index, .. } => write!(f, "Paging({size_index})"),
+            StrategyKind::Paging {
+                size_index,
+                indexing: PageIndexing::RowMajor,
+            } => write!(f, "Paging({size_index})"),
+            StrategyKind::Paging {
+                size_index,
+                indexing,
+            } => write!(f, "Paging({size_index},{indexing})"),
             StrategyKind::Mbs => write!(f, "MBS"),
             StrategyKind::FirstFit => write!(f, "FF"),
             StrategyKind::BestFit => write!(f, "BF"),
@@ -292,6 +306,14 @@ mod tests {
             }
             .to_string(),
             "Paging(0)"
+        );
+        assert_eq!(
+            StrategyKind::Paging {
+                size_index: 2,
+                indexing: PageIndexing::SnakeLike
+            }
+            .to_string(),
+            "Paging(2,snake-like)"
         );
         assert_eq!(StrategyKind::Mbs.to_string(), "MBS");
     }

@@ -1,14 +1,12 @@
-//! Fidelity knobs and the shared batch engine of the experiment
-//! binaries that have no scenario-file port yet (the paper's figures run
-//! through `procsim campaign scenarios/figNN.toml`).
-
-use procsim_core::{PointResult, SimConfig};
+//! Fidelity and execution knobs of `trace_vs_synthetic`, the one
+//! experiment binary without a scenario-file port (every other experiment
+//! runs through `procsim campaign scenarios/<name>.toml`).
 
 /// Experiment fidelity and execution knobs.
 ///
 /// Start from [`RunMode::quick`] or [`RunMode::full`] (the paper's
 /// protocol) and adjust fields as needed; [`RunMode::from_args`] builds
-/// one from an experiment binary's command line. The `threads` knob only
+/// one from the binary's command line. The `threads` knob only
 /// changes wall-clock time, never results — see
 /// [`procsim_core::run_points_on`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,7 +48,7 @@ impl RunMode {
         }
     }
 
-    /// Parses the experiment-binary command line: `--full` selects the
+    /// Parses the binary's command line: `--full` selects the
     /// paper's protocol and `--threads N` pins the worker count. Any other
     /// argument prints `error: …` and exits with status 2, so a flag the
     /// binary does not implement (such as `--topology`) is never silently
@@ -106,48 +104,6 @@ impl RunMode {
             "full"
         } else {
             "quick"
-        }
-    }
-}
-
-/// Shared preamble of the ablation / future-work binaries: parses
-/// `--full` and `--threads N`, sizes the global worker pool, and returns
-/// whether paper-grade fidelity was requested. All the binary's points
-/// then go through [`run_sweep`] as one batch.
-pub fn ablation_args() -> bool {
-    let mode = RunMode::from_args();
-    if let Some(n) = mode.threads {
-        if !procsim_core::pool::configure_global(n) {
-            eprintln!("warning: global pool already sized; --threads {n} ignored");
-        }
-    }
-    mode.is_full()
-}
-
-/// Shared engine of the ablation / future-work binaries: builds one
-/// config per combo (`make_cfg` receives the combo's index, for seed
-/// derivation à la [`procsim_core::derive_seed`]), runs the whole batch on the shared
-/// worker pool, and hands each `(index, combo, result)` to `row` in
-/// input order (print the table there; a blank group separator is
-/// emitted every `group` rows).
-pub fn run_sweep<T: Copy>(
-    combos: &[T],
-    group: usize,
-    min_reps: usize,
-    max_reps: usize,
-    make_cfg: impl Fn(usize, T) -> SimConfig,
-    mut row: impl FnMut(T, &PointResult),
-) {
-    let cfgs: Vec<SimConfig> = combos
-        .iter()
-        .enumerate()
-        .map(|(i, &combo)| make_cfg(i, combo))
-        .collect();
-    let points = procsim_core::run_points(&cfgs, min_reps, max_reps);
-    for (i, (&combo, p)) in combos.iter().zip(&points).enumerate() {
-        row(combo, p);
-        if group > 0 && (i + 1) % group == 0 {
-            println!();
         }
     }
 }

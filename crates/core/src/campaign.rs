@@ -15,10 +15,10 @@
 //!   all, at any thread count.
 //! * Cache keys are FNV-1a content hashes of the canonical *spec string*
 //!   (every code-relevant knob: mesh geometry, network constants,
-//!   topology, strategy, scheduler, workload + load, fidelity and
-//!   stopping knobs, seed, and a format version). Any fidelity change
-//!   re-keys exactly the affected points; cosmetic scenario edits
-//!   (comments, output columns) change nothing.
+//!   traffic pattern, topology, strategy, scheduler, workload + load,
+//!   fidelity and stopping knobs, seed, and a format version). Any
+//!   fidelity change re-keys exactly the affected points; cosmetic
+//!   scenario edits (comments, output columns) change nothing.
 //! * Expansion order is the declared matrix order (later axes fastest);
 //!   all internal maps are `BTreeMap`s, so the merged CSV is identical
 //!   however the campaign was sliced across runs (D001).
@@ -74,13 +74,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// deliberately absent.
 fn spec_string(s: &PointSettings, seed: u64) -> String {
     format!(
-        "{CACHE_FORMAT}|mesh={}x{}|ts={}|plen={}|pattern=all-to-all|topology={}|strategy={}|\
+        "{CACHE_FORMAT}|mesh={}x{}|ts={}|plen={}|pattern={}|topology={}|strategy={}|\
          scheduler={}|workload={}|load={}|num_mes={}|runtime_scale={}|warmup={}|measured={}|\
          min_reps={}|max_reps={}|precision=paper95-5|seed={}",
         s.mesh_w,
         s.mesh_l,
         s.ts,
         s.plen,
+        s.pattern,
         s.topology,
         s.strategy,
         s.scheduler,
@@ -424,6 +425,23 @@ const METRICS: [&str; 6] = [
     "fragments",
 ];
 
+/// One CSV field, quoted (RFC 4180) when it holds a comma, a quote or a
+/// line break — e.g. the series label `Paging(0,snake-like)(FCFS)`.
+///
+/// ```
+/// use procsim_core::csv_field;
+/// assert_eq!(csv_field("GABL(FCFS)"), "GABL(FCFS)");
+/// assert_eq!(csv_field("Paging(0,snake-like)(FCFS)"), "\"Paging(0,snake-like)(FCFS)\"");
+/// assert_eq!(csv_field("a\"b"), "\"a\"\"b\"");
+/// ```
+pub fn csv_field(s: &str) -> String {
+    if s.contains([',', '"', '\n', '\r']) {
+        format!("\"{}\"", s.replace('"', "\"\""))
+    } else {
+        s.to_string()
+    }
+}
+
 /// Assembles the campaign CSV per the scenario's `[output]` spec.
 /// Unknown column names are a validation error (named here rather than
 /// silently emitting empty cells).
@@ -440,7 +458,7 @@ fn render_csv(
         match col.as_str() {
             "means" => header.extend(METRICS.iter().map(|m| m.to_string())),
             "cis" => header.extend(METRICS.iter().map(|m| format!("ci_{m}"))),
-            other => header.push(other.to_string()),
+            other => header.push(csv_field(other)),
         }
     }
     let mut csv = header.join(",");
@@ -450,7 +468,7 @@ fn render_csv(
         let mut row: Vec<String> = Vec::new();
         for col in &out_spec.columns {
             match col.as_str() {
-                "series" => row.push(r.label.clone()),
+                "series" => row.push(csv_field(&r.label)),
                 "topology" => row.push(point.settings.topology.to_string()),
                 "load" => row.push(format!("{}", r.load)),
                 "reps" => row.push(r.replications.to_string()),
@@ -458,9 +476,9 @@ fn render_csv(
                 "cis" => row.extend(r.ci95.iter().map(|c| format!("{c}"))),
                 other => {
                     if let Some((_, v)) = out_spec.values.iter().find(|(k, _)| k == other) {
-                        row.push(v.clone());
+                        row.push(csv_field(v));
                     } else if let Some(v) = point.settings.knob_value(other) {
-                        row.push(v);
+                        row.push(csv_field(&v));
                     } else {
                         return Err(CampaignError::Scenario(ScenarioError::new(
                             0,

@@ -36,7 +36,7 @@ pub mod scenario;
 pub mod simulator;
 
 pub use campaign::{
-    cached_count, expand, run_campaign, CampaignError, CampaignOptions, CampaignOutcome,
+    cached_count, csv_field, expand, run_campaign, CampaignError, CampaignOptions, CampaignOutcome,
     CampaignPoint,
 };
 pub use config::{SimConfig, WorkloadSpec};

@@ -44,10 +44,13 @@
 //! [`render`](Scenario::render) writes a scenario back out in canonical
 //! form; `parse(render(s)) == s` is pinned by a property test.
 
-use mesh_alloc::StrategyKind;
+use std::sync::Arc;
+
+use desim::SimRng;
+use mesh_alloc::{PageIndexing, StrategyKind};
 use mesh_sched::SchedulerKind;
-use workload::{ParagonModel, SideDist};
-use wormnet::TopologyKind;
+use workload::{factor_for_load, trace_to_jobs, Cm5Model, ParagonModel, SideDist};
+use wormnet::{Pattern, TopologyKind};
 
 use crate::config::{SimConfig, WorkloadSpec};
 
@@ -776,18 +779,42 @@ pub enum WorkloadName {
     Uniform,
     /// Stochastic, exponential side lengths.
     Exponential,
-    /// Synthetic SDSC Paragon trace model.
+    /// Synthetic SDSC Paragon trace model, a fresh draw per replication.
     Paragon,
+    /// Synthetic LANL CM-5 trace model: one fixed draw replayed by every
+    /// replication (see [`PointSettings::sim_config`]).
+    Cm5,
 }
 
 impl WorkloadName {
-    /// Scenario-file spelling.
+    /// Every workload, in the order error messages list them.
+    pub const ALL: [WorkloadName; 4] = [
+        WorkloadName::Uniform,
+        WorkloadName::Exponential,
+        WorkloadName::Paragon,
+        WorkloadName::Cm5,
+    ];
+
+    /// Scenario-file and CLI spelling.
     pub fn name(self) -> &'static str {
         match self {
             WorkloadName::Uniform => "uniform",
             WorkloadName::Exponential => "exponential",
             WorkloadName::Paragon => "paragon",
+            WorkloadName::Cm5 => "cm5",
         }
+    }
+}
+
+impl core::str::FromStr for WorkloadName {
+    type Err = String;
+
+    /// Parses the [`WorkloadName::name`] spelling.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        WorkloadName::ALL
+            .into_iter()
+            .find(|w| w.name() == s)
+            .ok_or_else(|| format!("unknown workload '{s}' (uniform, exponential, paragon, cm5)"))
     }
 }
 
@@ -803,6 +830,8 @@ pub struct PointSettings {
     pub ts: u32,
     /// Packet length in flits.
     pub plen: u32,
+    /// Communication pattern of every job.
+    pub pattern: Pattern,
     /// Network topology.
     pub topology: TopologyKind,
     /// Allocation strategy.
@@ -815,7 +844,7 @@ pub struct PointSettings {
     pub load: f64,
     /// Mean per-processor message count (stochastic workloads).
     pub num_mes: f64,
-    /// Seconds of trace runtime per message (paragon workload).
+    /// Seconds of trace runtime per message (paragon and cm5 workloads).
     pub runtime_scale: f64,
     /// Warmup jobs discarded per replication.
     pub warmup: usize,
@@ -827,22 +856,24 @@ pub struct PointSettings {
     pub max_reps: usize,
 }
 
-/// Every knob name, in the canonical spec-string order.
+/// Every point knob name, in the canonical spec-string order (the
+/// campaign-level `seed` is not a point knob).
 pub const KNOBS: [&str; 16] = [
-    "mesh_w", "mesh_l", "ts", "plen", "topology", "strategy", "scheduler", "workload", "load",
-    "num_mes", "runtime_scale", "warmup", "measured", "min_reps", "max_reps", "seed",
+    "mesh_w", "mesh_l", "ts", "plen", "pattern", "topology", "strategy", "scheduler",
+    "workload", "load", "num_mes", "runtime_scale", "warmup", "measured", "min_reps", "max_reps",
 ];
 
 impl Default for PointSettings {
-    /// Built-in paper defaults: 16×22 mesh, ts 3, Plen 8, mesh topology,
-    /// GABL under FCFS, uniform stochastic workload at the CLI's default
-    /// light load, quick fidelity.
+    /// Built-in paper defaults: 16×22 mesh, ts 3, Plen 8, all-to-all
+    /// traffic, mesh topology, GABL under FCFS, uniform stochastic
+    /// workload at the CLI's default light load, quick fidelity.
     fn default() -> Self {
         PointSettings {
             mesh_w: 16,
             mesh_l: 22,
             ts: 3,
             plen: 8,
+            pattern: Pattern::AllToAll,
             topology: TopologyKind::Mesh,
             strategy: StrategyKind::Gabl,
             scheduler: SchedulerKind::Fcfs,
@@ -867,6 +898,17 @@ fn knob_str<'v>(v: &'v Value, line: usize, place: &str) -> Result<&'v str, Scena
             format!("expected a quoted string, got {}", other.type_name()),
         )),
     }
+}
+
+/// A string knob parsed with its type's `FromStr` (the CLI spelling).
+fn knob_parse<T: core::str::FromStr<Err = String>>(
+    v: &Value,
+    line: usize,
+    place: &str,
+) -> Result<T, ScenarioError> {
+    knob_str(v, line, place)?
+        .parse()
+        .map_err(|e| ScenarioError::new(line, place, e))
 }
 
 fn knob_pos_float(v: &Value, line: usize, place: &str) -> Result<f64, ScenarioError> {
@@ -904,9 +946,7 @@ fn knob_uint<T: TryFrom<i64>>(v: &Value, line: usize, place: &str) -> Result<T, 
 
 impl PointSettings {
     /// Validates one knob assignment without mutating anything — used by
-    /// the parser so errors carry the defining line. (`seed` is listed in
-    /// [`KNOBS`] for the spec string but is campaign-level, not a point
-    /// knob.)
+    /// the parser so errors carry the defining line.
     pub fn check_knob(key: &str, v: &Value, line: usize, place: &str) -> Result<(), ScenarioError> {
         // apply onto a scratch copy: same validation, result discarded
         let mut scratch = PointSettings::default();
@@ -920,35 +960,11 @@ impl PointSettings {
             "mesh_l" => self.mesh_l = nonzero(knob_uint::<u16>(v, line, place)?, line, place)?,
             "ts" => self.ts = knob_uint::<u32>(v, line, place)?,
             "plen" => self.plen = nonzero(knob_uint::<u32>(v, line, place)?, line, place)?,
-            "topology" => {
-                self.topology = knob_str(v, line, place)?
-                    .parse::<TopologyKind>()
-                    .map_err(|e| ScenarioError::new(line, place, e))?;
-            }
-            "strategy" => {
-                self.strategy = knob_str(v, line, place)?
-                    .parse::<StrategyKind>()
-                    .map_err(|e| ScenarioError::new(line, place, e))?;
-            }
-            "scheduler" => {
-                self.scheduler = knob_str(v, line, place)?
-                    .parse::<SchedulerKind>()
-                    .map_err(|e| ScenarioError::new(line, place, e))?;
-            }
-            "workload" => {
-                self.workload = match knob_str(v, line, place)? {
-                    "uniform" => WorkloadName::Uniform,
-                    "exponential" => WorkloadName::Exponential,
-                    "paragon" => WorkloadName::Paragon,
-                    other => {
-                        return Err(ScenarioError::new(
-                            line,
-                            place,
-                            format!("unknown workload {other:?} (uniform, exponential, paragon)"),
-                        ))
-                    }
-                };
-            }
+            "pattern" => self.pattern = knob_parse(v, line, place)?,
+            "topology" => self.topology = knob_parse(v, line, place)?,
+            "strategy" => self.strategy = knob_parse(v, line, place)?,
+            "scheduler" => self.scheduler = knob_parse(v, line, place)?,
+            "workload" => self.workload = knob_parse(v, line, place)?,
             "load" => self.load = knob_pos_float(v, line, place)?,
             "num_mes" => self.num_mes = knob_pos_float(v, line, place)?,
             "runtime_scale" => self.runtime_scale = knob_pos_float(v, line, place)?,
@@ -970,7 +986,7 @@ impl PointSettings {
                 return Err(ScenarioError::new(
                     line,
                     place,
-                    format!("unknown knob {other:?} (known: {})", KNOBS[..15].join(", ")),
+                    format!("unknown knob {other:?} (known: {})", KNOBS.join(", ")),
                 ))
             }
         }
@@ -1001,6 +1017,7 @@ impl PointSettings {
             "mesh_l" => self.mesh_l.to_string(),
             "ts" => self.ts.to_string(),
             "plen" => self.plen.to_string(),
+            "pattern" => self.pattern.to_string(),
             "topology" => self.topology.to_string(),
             "strategy" => cli_strategy_name(self.strategy),
             "scheduler" => cli_scheduler_name(self.scheduler),
@@ -1018,6 +1035,11 @@ impl PointSettings {
 
     /// Builds the [`SimConfig`] of this point (its workload spec and
     /// simulator knobs; `seed` is the derived per-point seed).
+    ///
+    /// `cm5` replays one fixed draw of [`Cm5Model`] (from
+    /// `SimRng::new(7)`) with arrivals scaled by
+    /// `factor_for_load(1186.7, load)`, so every replication and point
+    /// sees the same job sequence.
     pub fn sim_config(&self, seed: u64) -> SimConfig {
         let workload = match self.workload {
             WorkloadName::Uniform => WorkloadSpec::Stochastic {
@@ -1035,12 +1057,24 @@ impl PointSettings {
                 load: self.load,
                 runtime_scale: self.runtime_scale,
             },
+            WorkloadName::Cm5 => {
+                let recs = Cm5Model::default().generate(&mut SimRng::new(7));
+                let f = factor_for_load(1186.7, self.load);
+                WorkloadSpec::FixedTrace(Arc::new(trace_to_jobs(
+                    &recs,
+                    self.mesh_w,
+                    self.mesh_l,
+                    f,
+                    self.runtime_scale,
+                )))
+            }
         };
         let mut cfg = SimConfig::paper(self.strategy, self.scheduler, workload, seed);
         cfg.mesh_w = self.mesh_w;
         cfg.mesh_l = self.mesh_l;
         cfg.ts = self.ts;
         cfg.plen = self.plen;
+        cfg.pattern = self.pattern;
         cfg.topology = self.topology;
         cfg.warmup_jobs = self.warmup;
         cfg.measured_jobs = self.measured;
@@ -1064,7 +1098,14 @@ fn nonzero<T: PartialEq + From<u8> + core::fmt::Display>(
 pub fn cli_strategy_name(s: StrategyKind) -> String {
     match s {
         StrategyKind::Gabl => "gabl".into(),
-        StrategyKind::Paging { size_index, .. } => format!("paging{size_index}"),
+        StrategyKind::Paging {
+            size_index,
+            indexing: PageIndexing::RowMajor,
+        } => format!("paging{size_index}"),
+        StrategyKind::Paging {
+            size_index,
+            indexing,
+        } => format!("paging{size_index}-{indexing}"),
         StrategyKind::Mbs => "mbs".into(),
         StrategyKind::FirstFit => "ff".into(),
         StrategyKind::BestFit => "bf".into(),
@@ -1073,8 +1114,7 @@ pub fn cli_strategy_name(s: StrategyKind) -> String {
     }
 }
 
-/// The scenario-file spelling of a scheduler (inverse of its `FromStr`
-/// for the named policies; window policies render with their width).
+/// The scenario-file spelling of a scheduler (inverse of its `FromStr`).
 pub fn cli_scheduler_name(s: SchedulerKind) -> String {
     match s {
         SchedulerKind::Fcfs => "fcfs".into(),

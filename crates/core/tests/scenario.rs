@@ -5,8 +5,10 @@
 //! semantics, and a property test pinning the canonical-render round
 //! trip `parse(render(s)) == s`.
 
-use procsim_core::scenario::{Scenario, ScenarioError, Value};
-use procsim_core::{expand, PointSettings};
+use procsim_core::scenario::{
+    cli_scheduler_name, cli_strategy_name, Scenario, ScenarioError, Value, KNOBS,
+};
+use procsim_core::{expand, PageIndexing, PointSettings, SchedulerKind, StrategyKind};
 use proptest::prelude::*;
 
 /// A minimal valid scenario to splice malformed fragments into.
@@ -111,6 +113,11 @@ fn matrix_knob_errors() {
     assert_err(&with("scheduler = [\"lifo\"]"), 7, "matrix.scheduler", "unknown scheduler");
     assert_err(&with("topology = [\"hypercube\"]"), 7, "matrix.topology", "");
     assert_err(&with("workload = [\"netflix\"]"), 7, "matrix.workload", "unknown workload");
+    assert_err(&with("pattern = [\"gossip\"]"), 7, "matrix.pattern", "unknown pattern");
+    assert_err(&with("strategy = [\"paging0-zigzag\"]"), 7, "matrix.strategy", "unknown page indexing");
+    assert_err(&with("strategy = [\"paging4-snake-like\"]"), 7, "matrix.strategy", "unknown paging variant");
+    assert_err(&with("scheduler = [\"fcfs-window0\"]"), 7, "matrix.scheduler", "N >= 1");
+    assert_err(&with("scheduler = [\"fcfs-windowx\"]"), 7, "matrix.scheduler", "N >= 1");
     assert_err(&with("mesh_w = [0]"), 7, "matrix.mesh_w", "non-zero");
     assert_err(&with("mesh_w = [-3]"), 7, "matrix.mesh_w", "out of range");
     assert_err(&with("mesh_w = [70000]"), 7, "matrix.mesh_w", "out of range");
@@ -177,6 +184,65 @@ fn error_display_carries_line_and_place() {
     let shown = e.to_string();
     assert!(shown.contains("line 6"), "{shown}");
     assert!(shown.contains("[matrix.load]"), "{shown}");
+}
+
+/// Every strategy and scheduler spelling the scenario format (and the
+/// CLI) prints parses back to the same value.
+#[test]
+fn strategy_and_scheduler_spellings_round_trip() {
+    let mut strategies = vec![
+        StrategyKind::Gabl,
+        StrategyKind::Mbs,
+        StrategyKind::FirstFit,
+        StrategyKind::BestFit,
+        StrategyKind::Random,
+        StrategyKind::Mc,
+    ];
+    for size_index in 0..=3 {
+        for indexing in PageIndexing::ALL {
+            strategies.push(StrategyKind::Paging {
+                size_index,
+                indexing,
+            });
+        }
+    }
+    for k in strategies {
+        let name = cli_strategy_name(k);
+        assert_eq!(name.parse::<StrategyKind>(), Ok(k), "{name}");
+    }
+    let mut schedulers = vec![
+        SchedulerKind::Fcfs,
+        SchedulerKind::Ssd,
+        SchedulerKind::SjfArea,
+        SchedulerKind::LjfArea,
+        SchedulerKind::EasyBackfill,
+    ];
+    schedulers.extend((1..=8).map(SchedulerKind::FcfsWindow));
+    for k in schedulers {
+        let name = cli_scheduler_name(k);
+        assert_eq!(name.parse::<SchedulerKind>(), Ok(k), "{name}");
+    }
+    // the explicit row-major spelling is accepted too
+    assert_eq!("paging1-row-major".parse::<StrategyKind>(), "paging1".parse());
+}
+
+/// Every knob the parser accepts renders back through `knob_value`, and
+/// vice versa, so overrides and output columns can name any of them.
+#[test]
+fn every_knob_renders() {
+    let settings = PointSettings::default();
+    for k in KNOBS {
+        let v = settings.knob_value(k).unwrap_or_else(|| panic!("{k} does not render"));
+        let value = match v.parse::<i64>() {
+            Ok(i) => Value::Int(i),
+            Err(_) => match v.parse::<f64>() {
+                Ok(f) => Value::Float(f),
+                Err(_) => Value::Str(v.clone()),
+            },
+        };
+        PointSettings::check_knob(k, &value, 1, k).unwrap_or_else(|e| panic!("{k} = {v}: {e}"));
+    }
+    assert_eq!(settings.knob_value("seed"), None, "seed is campaign-level");
 }
 
 // ---------------------------------------------------------------------------
@@ -262,7 +328,43 @@ fn seed_axes_pair_excluded_axes() {
     assert_ne!(points[0].hash, points[2].hash);
 }
 
-/// Every checked-in scenario loads and expands, and every golden CSV
+/// The spec string (the cache-key preimage) of a default point is pinned:
+/// warm caches and golden cache keys survive only while it is unchanged.
+#[test]
+fn default_point_spec_string_is_stable() {
+    let points = expand(&Scenario::parse(MINIMAL).unwrap()).unwrap();
+    assert_eq!(
+        points[0].spec,
+        "v1|mesh=16x22|ts=3|plen=8|pattern=all-to-all|topology=mesh|strategy=GABL|\
+         scheduler=FCFS|workload=uniform|load=0.001|num_mes=5|runtime_scale=360|warmup=100|\
+         measured=400|min_reps=3|max_reps=5|precision=paper95-5|seed=4654667239342140049"
+    );
+    assert_eq!(points[0].hash, "b3fa3ac7a0f63471");
+}
+
+/// Points that differ only in traffic pattern or page indexing are
+/// different experiments, so they must not share a cache key (or run
+/// with seed-paired streams and be served one another's results).
+#[test]
+fn pattern_and_indexing_are_in_the_cache_key() {
+    let s = Scenario::parse(
+        "[campaign]\nname = \"keys\"\nseed = 7\n\
+         [matrix]\npattern = [\"all-to-all\", \"ring\"]\n\
+         strategy = [\"paging0\", \"paging0-snake-like\"]\n\
+         [seed]\naxes = []\n",
+    );
+    // an empty seed-axes list is legal: every point shares one seed
+    let points = expand(&s.unwrap()).unwrap();
+    let mut hashes: Vec<&str> = points.iter().map(|p| p.hash.as_str()).collect();
+    hashes.sort_unstable();
+    hashes.dedup();
+    assert_eq!(hashes.len(), 4, "{points:#?}");
+    assert!(points[3].spec.contains("|pattern=ring|"), "{}", points[3].spec);
+    assert!(points[3].spec.contains("|strategy=Paging(0,snake-like)|"), "{}", points[3].spec);
+}
+
+/// Every checked-in scenario loads and expands to points with distinct
+/// cache keys, and every golden CSV
 /// other than the `procsim trace` golden has the scenario that
 /// regenerates it, so CI's golden loop (which walks the scenarios with
 /// a golden) can never skip one. No simulation runs.
@@ -286,6 +388,12 @@ fn checked_in_scenarios_load_and_cover_every_golden() {
         assert_eq!(&s.name, name, "campaign name must match the file stem");
         let points = expand(&s).unwrap_or_else(|e| panic!("{name}.toml: {e}"));
         assert!(!points.is_empty(), "{name}.toml expands to no points");
+        // one cache key per point: a collision would serve one point's
+        // cached result for another
+        let mut hashes: Vec<&str> = points.iter().map(|p| p.hash.as_str()).collect();
+        hashes.sort_unstable();
+        hashes.dedup();
+        assert_eq!(hashes.len(), points.len(), "{name}.toml has colliding cache keys");
     }
     for id in 2..=16 {
         let fig = format!("fig{id:02}");

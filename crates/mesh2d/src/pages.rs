@@ -51,6 +51,24 @@ impl core::fmt::Display for PageIndexing {
     }
 }
 
+impl core::str::FromStr for PageIndexing {
+    type Err = String;
+
+    /// Parses the [`Display`](core::fmt::Display) spelling, e.g.
+    /// `snake-like`.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        PageIndexing::ALL
+            .into_iter()
+            .find(|ix| ix.to_string() == s)
+            .ok_or_else(|| {
+                format!(
+                    "unknown page indexing '{s}' \
+                     (row-major, shuffled-row-major, snake-like, shuffled-snake-like)"
+                )
+            })
+    }
+}
+
 /// The pages of a mesh, stored in allocation (index) order.
 #[derive(Debug, Clone)]
 pub struct PageGrid {

@@ -157,8 +157,8 @@ impl core::str::FromStr for SchedulerKind {
     type Err = String;
 
     /// Parses the CLI / scenario-file spelling: `fcfs`, `ssd`, `sjf`,
-    /// `ljf`, `easy` (case-insensitive; window policies are
-    /// programmatic-only).
+    /// `ljf`, `easy`, and `fcfs-window<N>` for [`SchedulerKind::FcfsWindow`]
+    /// with `N >= 1` (case-insensitive).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "fcfs" => Ok(SchedulerKind::Fcfs),
@@ -166,9 +166,17 @@ impl core::str::FromStr for SchedulerKind {
             "sjf" => Ok(SchedulerKind::SjfArea),
             "ljf" => Ok(SchedulerKind::LjfArea),
             "easy" => Ok(SchedulerKind::EasyBackfill),
-            other => Err(format!(
-                "unknown scheduler '{other}' (fcfs, ssd, sjf, ljf, easy)"
-            )),
+            other => match other.strip_prefix("fcfs-window") {
+                Some(n) => match n.parse::<usize>() {
+                    Ok(w) if w >= 1 => Ok(SchedulerKind::FcfsWindow(w)),
+                    _ => Err(format!(
+                        "bad window in scheduler '{other}' (fcfs-window<N> with N >= 1)"
+                    )),
+                },
+                None => Err(format!(
+                    "unknown scheduler '{other}' (fcfs, ssd, sjf, ljf, easy, fcfs-window<N>)"
+                )),
+            },
         }
     }
 }

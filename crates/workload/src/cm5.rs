@@ -12,8 +12,9 @@
 //! on the Paragon trace ("contiguous allocation is explicitly sought in
 //! MBS only for requests with sizes of the form 2^2n"), so a CM-5-style
 //! workload is the natural counterfactual: under it MBS's buddy blocks
-//! align perfectly with requests. The `futurework_cm5` bench runs the
-//! comparison.
+//! align perfectly with requests. The scenario workload `cm5` (and
+//! `procsim run --workload cm5`) replays one fixed draw of this model;
+//! `scenarios/futurework_cm5.toml` runs the comparison against `paragon`.
 
 use crate::TraceRecord;
 use desim::SimRng;

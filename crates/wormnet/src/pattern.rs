@@ -3,8 +3,8 @@
 //! The paper's experiments use **all-to-all** exclusively ("it causes much
 //! message collision and is known as the weak point for non-contiguous
 //! allocation", §5); the other patterns here are the remaining ProcSimity
-//! patterns, used by the ablation benches to show how much the all-to-all
-//! choice matters.
+//! patterns, swept by `scenarios/ablation_patterns.toml` to show how much
+//! the all-to-all choice matters.
 
 use desim::SimRng;
 use mesh2d::Coord;
@@ -30,7 +30,7 @@ pub enum Pattern {
 }
 
 impl Pattern {
-    /// Every supported pattern, in the ablation benches' sweep order.
+    /// Every supported pattern, in the ablation's sweep order.
     pub const ALL: [Pattern; 5] = [
         Pattern::AllToAll,
         Pattern::OneToAll,
@@ -50,6 +50,24 @@ impl core::fmt::Display for Pattern {
             Pattern::NearNeighbour => "near-neighbour",
         };
         f.write_str(s)
+    }
+}
+
+impl core::str::FromStr for Pattern {
+    type Err = String;
+
+    /// Parses the [`Display`](core::fmt::Display) spelling, e.g.
+    /// `all-to-all`.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        Pattern::ALL
+            .into_iter()
+            .find(|p| p.to_string() == s)
+            .ok_or_else(|| {
+                format!(
+                    "unknown pattern '{s}' \
+                     (all-to-all, one-to-all, ring, random-pairs, near-neighbour)"
+                )
+            })
     }
 }
 

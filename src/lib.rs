@@ -59,10 +59,10 @@ pub use workload::{
 
 // --- the integrated simulator ----------------------------------------------
 pub use procsim_core::{
-    cached_count, derive_seed, expand, pool, run_campaign, run_point, run_point_on, run_point_seq,
-    run_points, run_points_on, CampaignError, CampaignOptions, CampaignOutcome, CampaignPoint,
-    PointResult, PointSettings, RunMetrics, Scenario, ScenarioError, SimConfig, Simulator,
-    WorkerPool, WorkloadSpec,
+    cached_count, csv_field, derive_seed, expand, pool, run_campaign, run_point, run_point_on,
+    run_point_seq, run_points, run_points_on, CampaignError, CampaignOptions, CampaignOutcome,
+    CampaignPoint, PointResult, PointSettings, RunMetrics, Scenario, ScenarioError, SimConfig,
+    Simulator, WorkerPool, WorkloadSpec,
 };
 
 /// The mesh dimensions used throughout the paper (the 352-node SDSC

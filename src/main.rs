@@ -3,8 +3,8 @@
 //! from the command line.
 //!
 //! ```text
-//! procsim run   [--strategy gabl|paging0|mbs|ff|bf|random|mc]
-//!               [--scheduler fcfs|ssd|sjf|ljf|easy]
+//! procsim run   [--strategy gabl|paging0..3[-<indexing>]|mbs|ff|bf|random|mc]
+//!               [--scheduler fcfs|ssd|sjf|ljf|easy|fcfs-window<N>]
 //!               [--workload uniform|exponential|paragon|cm5]
 //!               [--topology mesh|torus]
 //!               [--load 0.0008] [--jobs 400] [--seed 42]
@@ -23,9 +23,13 @@
 //! in the wraparound links and the dateline virtual channels — see
 //! `docs/TOPOLOGIES.md`.
 //!
+//! `run` builds its point through [`PointSettings`], so every strategy,
+//! scheduler and workload spelling (and its meaning) is the scenario
+//! format's.
+//!
 //! A flag the subcommand does not take, a valued flag without its value,
-//! and a malformed number are usage errors: `error: …` on stderr and
-//! exit status 2, never a silent default or a panic.
+//! an unknown name and a malformed number are usage errors: `error: …`
+//! on stderr and exit status 2, never a silent default or a panic.
 //!
 //! `trace` replays an SWF archive file at a target **offered load**
 //! (`--load 0.7` = the scaled trace occupies 70 % of machine capacity in
@@ -36,12 +40,12 @@
 //! results, only wall-clock time.
 
 use procsim::{
-    cached_count, derive_seed, expand, run_campaign, run_point, run_points, trace_to_jobs,
-    write_swf_to, CampaignOptions, Cm5Model, ParagonModel, PointResult, Scenario, SchedulerKind,
-    SideDist, SimConfig, SimRng, StopReason, StrategyKind, TopologyKind, TraceWorkload,
-    WorkloadSpec,
+    cached_count, csv_field, derive_seed, expand, run_campaign, run_point, run_points,
+    write_swf_to, CampaignOptions, Cm5Model, ParagonModel, PointResult, PointSettings, Scenario,
+    SimConfig, SimRng, StopReason, StrategyKind, TopologyKind, TraceWorkload, WorkloadSpec,
 };
 use std::io::Write;
+use std::str::FromStr;
 use std::sync::Arc;
 
 struct Args {
@@ -148,13 +152,16 @@ fn num<T: std::str::FromStr>(a: &Args, key: &str) -> Option<T> {
     })
 }
 
-fn strategy_of(name: &str) -> StrategyKind {
-    // the scenario format and the CLI share one spelling (FromStr)
+/// Parses a strategy, scheduler, workload or topology name with the
+/// `FromStr` the scenario format shares; an unknown name is a usage
+/// error listing the valid ones.
+fn parse_name<T: FromStr<Err = String>>(name: &str) -> T {
     name.parse().unwrap_or_else(|e: String| die(&e))
 }
 
-fn scheduler_of(name: &str) -> SchedulerKind {
-    name.parse().unwrap_or_else(|e: String| die(&e))
+/// Reads the named value of `--key`, or `default` when absent.
+fn named<T: FromStr<Err = String>>(a: &Args, key: &str, default: &str) -> T {
+    parse_name(a.map.get(key).map_or(default, String::as_str))
 }
 
 fn die(msg: &str) -> ! {
@@ -163,50 +170,21 @@ fn die(msg: &str) -> ! {
     std::process::exit(2)
 }
 
-/// Reads the run topology from `--topology mesh|torus` (mesh when absent).
-fn topology_of(a: &Args) -> TopologyKind {
-    a.map.get("topology").map_or(TopologyKind::Mesh, |s| {
-        s.parse().unwrap_or_else(|e: String| die(&e))
-    })
-}
-
-fn workload_of(name: &str, load: f64) -> WorkloadSpec {
-    match name {
-        "uniform" => WorkloadSpec::Stochastic {
-            sides: SideDist::Uniform,
-            load,
-            num_mes: 5.0,
-        },
-        "exponential" => WorkloadSpec::Stochastic {
-            sides: SideDist::Exponential,
-            load,
-            num_mes: 5.0,
-        },
-        "paragon" => WorkloadSpec::SyntheticTrace {
-            model: ParagonModel::default(),
-            load,
-            runtime_scale: 360.0,
-        },
-        "cm5" => {
-            let recs = Cm5Model::default().generate(&mut SimRng::new(7));
-            let f = procsim::factor_for_load(1186.7, load);
-            WorkloadSpec::FixedTrace(Arc::new(trace_to_jobs(&recs, 16, 22, f, 360.0)))
-        }
-        other => die(&format!("unknown workload '{other}'")),
-    }
-}
-
+/// The `run` point: the scenario format's built-in paper defaults with
+/// the flags on top.
 fn config_from(a: &Args, load: f64) -> SimConfig {
-    let strategy = strategy_of(a.map.get("strategy").map(|s| s.as_str()).unwrap_or("gabl"));
-    let scheduler = scheduler_of(a.map.get("scheduler").map(|s| s.as_str()).unwrap_or("fcfs"));
-    let workload = workload_of(a.map.get("workload").map(|s| s.as_str()).unwrap_or("uniform"), load);
-    let seed: u64 = num(a, "seed").unwrap_or(42);
-    let mut cfg = SimConfig::paper(strategy, scheduler, workload, seed);
-    cfg.topology = topology_of(a);
     let jobs: usize = num(a, "jobs").unwrap_or(400);
-    cfg.measured_jobs = jobs;
-    cfg.warmup_jobs = (jobs / 4).max(10);
-    cfg
+    let settings = PointSettings {
+        strategy: named(a, "strategy", "gabl"),
+        scheduler: named(a, "scheduler", "fcfs"),
+        workload: named(a, "workload", "uniform"),
+        topology: named(a, "topology", "mesh"),
+        load,
+        warmup: (jobs / 4).max(10),
+        measured: jobs,
+        ..PointSettings::default()
+    };
+    settings.sim_config(num(a, "seed").unwrap_or(42))
 }
 
 fn print_result(p: &procsim::PointResult) {
@@ -288,7 +266,7 @@ fn run_trace(a: &Args, reps: usize) {
     if !(scale > 0.0 && scale.is_finite()) {
         die("--scale must be a positive number (seconds of runtime per message)");
     }
-    let topology = topology_of(a);
+    let topology: TopologyKind = named(a, "topology", "mesh");
     let factor = trace.factor_for_offered_load(machine, load);
     println!(
         "replaying at offered load {load} on the {topology} \
@@ -297,9 +275,9 @@ fn run_trace(a: &Args, reps: usize) {
 
     let strategies: Vec<StrategyKind> = match a.map.get("strategy").map(|s| s.as_str()) {
         None | Some("all") => StrategyKind::PAPER.to_vec(),
-        Some(name) => vec![strategy_of(name)],
+        Some(name) => vec![parse_name(name)],
     };
-    let scheduler = scheduler_of(a.map.get("scheduler").map(|s| s.as_str()).unwrap_or("fcfs"));
+    let scheduler = named(a, "scheduler", "fcfs");
     let seed: u64 = num(a, "seed").unwrap_or(42);
     let req_jobs: usize = num(a, "jobs").unwrap_or(400);
     // a replication only sees trace.len() arrivals (the segment wraps the
@@ -399,7 +377,12 @@ fn write_trace_csv(
         write!(
             f,
             "{},{},{},{},{},{}",
-            trace_name, p.label, topology, p.load, factor, p.replications
+            csv_field(trace_name),
+            csv_field(&p.label),
+            topology,
+            p.load,
+            factor,
+            p.replications
         )?;
         for m in p.means {
             write!(f, ",{m}")?;
@@ -583,10 +566,13 @@ fn main() {
             println!("scenarios/): the cross-product of its matrix, cached per point on disk,");
             println!("so interrupted or extended campaigns resume by rerunning only what's");
             println!("missing — output is byte-identical at any thread count. Every paper");
-            println!("figure is one: procsim campaign scenarios/fig02.toml (figures 2-16).");
+            println!("figure is one: procsim campaign scenarios/fig02.toml (figures 2-16),");
+            println!("and so is every ablation: scenarios/ablation_*.toml.");
             println!();
-            println!("strategies: gabl paging0 paging1 mbs ff bf random mc");
-            println!("schedulers: fcfs ssd sjf ljf easy");
+            println!("strategies: gabl paging0..paging3 mbs ff bf random mc");
+            println!("            paging<i>-<indexing> picks a page indexing (default row-major):");
+            println!("            row-major shuffled-row-major snake-like shuffled-snake-like");
+            println!("schedulers: fcfs ssd sjf ljf easy fcfs-window<N> (N >= 1)");
             println!("workloads:  uniform exponential paragon cm5");
             println!("topologies: mesh torus   (docs/TOPOLOGIES.md)");
             println!();

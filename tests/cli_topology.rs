@@ -1,6 +1,7 @@
-//! CLI tests of flag parsing — the `--topology` run dimension, and the
-//! usage errors (exit 2) for unknown flags and malformed numbers — and
-//! torus trace replay through the real binary.
+//! CLI tests of flag parsing — the `--topology` run dimension, the
+//! scenario-format names `run` shares (workloads, windowed schedulers),
+//! and the usage errors (exit 2) for unknown flags, unknown names and
+//! malformed numbers — and torus trace replay through the real binary.
 
 use std::process::Command;
 
@@ -102,6 +103,32 @@ fn unknown_topology_is_rejected_with_the_valid_set() {
         stderr.contains("mesh") && stderr.contains("torus"),
         "stderr should list the valid topologies: {stderr}"
     );
+}
+
+#[test]
+fn unknown_workload_is_rejected_with_the_valid_set() {
+    let out = tiny_run(&["--workload", "bogus"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing may run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown workload 'bogus'"), "{stderr}");
+    for name in ["uniform", "exponential", "paragon", "cm5"] {
+        assert!(stderr.contains(name), "stderr should list {name}: {stderr}");
+    }
+}
+
+#[test]
+fn windowed_scheduler_runs_and_a_zero_window_is_rejected() {
+    let out = tiny_run(&["--scheduler", "fcfs-window4"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("GABL(FCFS-W4)"), "{stdout}");
+
+    let out = tiny_run(&["--scheduler", "fcfs-window0"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing may run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("fcfs-window<N> with N >= 1"), "{stderr}");
 }
 
 #[test]
