@@ -32,15 +32,18 @@ pub enum WorkloadSpec {
         /// count).
         runtime_scale: f64,
     },
-    /// A fixed externally supplied job stream (e.g. parsed from SWF).
-    /// Replication `r` replays the stream starting at job offset
-    /// `r × (warmup_jobs + measured_jobs)` (mod stream length) so
-    /// independent replications see disjoint segments; when the stream is
+    /// A fixed, pre-scaled job list — the scenario format's `cm5`
+    /// workload, whose arrival factor is set from the paper's mean
+    /// inter-arrival time rather than from an offered load. Replication
+    /// `r` replays the list starting at job offset
+    /// `r × (warmup_jobs + measured_jobs)` (mod its length) so
+    /// independent replications see disjoint segments; when the list is
     /// too short for disjointness the offset degrades to one job per
     /// replication, keeping replications distinct. A replication supplies
-    /// at most one full pass over the stream — ask for more jobs than the
-    /// trace holds and the run ends early with fewer measured jobs
-    /// (front-ends should cap and warn, as `procsim trace` does).
+    /// at most one full pass over the list — ask for more jobs than it
+    /// holds and the run ends early with fewer measured jobs (front-ends
+    /// should cap and warn, as `procsim trace` does). Both trace variants
+    /// replay through the same [`workload::SegmentReplay`].
     FixedTrace(std::sync::Arc<Vec<JobSpec>>),
     /// A real trace (e.g. an SWF archive file) replayed at a target
     /// **offered load**: arrivals are rescaled by the factor
@@ -56,7 +59,7 @@ pub enum WorkloadSpec {
     /// — a million-job archive log replays without ever being
     /// materialized. Metrics are bit-identical to pre-scaling the whole
     /// stream into a [`WorkloadSpec::FixedTrace`]
-    /// (`crates/core/tests/streaming_trace.rs` proves it).
+    /// (`crates/core/tests/streaming_trace.rs` checks it).
     Trace {
         /// The wrapped trace.
         trace: std::sync::Arc<TraceWorkload>,

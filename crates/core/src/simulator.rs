@@ -8,8 +8,7 @@ use mesh_alloc::{Allocation, AllocationStrategy};
 use mesh_sched::{QueuedJob, RunningJob, Scheduler};
 use simstats::{TimeWeighted, Welford};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
-use workload::{trace_to_jobs, JobSpec, StochasticGen};
+use workload::{replay_jobs, trace_to_jobs, JobSpec, SegmentReplay, StochasticGen};
 use wormnet::{pattern_messages, Network, Topology, TopologyKind};
 
 /// Job-level events.
@@ -54,83 +53,62 @@ struct JobState {
     pkts: u64,
 }
 
-/// Builds the trace source for replication `rep`: each replication
-/// starts `needed` jobs further into the (wrapping) stream so
-/// replications see disjoint segments. When the trace is too short for
-/// that — `needed` a multiple of its length would leave every
-/// replication at offset 0, replaying identical segments — the stride
-/// degrades to rotating the stream one job per replication, which keeps
-/// replications distinct (the queueing transient differs) even though
-/// their job populations overlap.
-fn trace_source(jobs: Arc<Vec<JobSpec>>, rep: u64, needed: usize) -> Source {
-    let len = jobs.len();
-    let (pos, _) = segment_start(len, rep, needed);
-    let base = jobs[pos].arrive;
-    Source::Fixed {
-        jobs,
-        pos,
-        base,
-        shift: 0,
-        remaining: len,
+/// Replication `rep`'s arrivals, in order: every workload kind reaches
+/// the event loop as one iterator of jobs. Stochastic jobs are drawn
+/// on demand from the replication's workload stream `wl_rng`; the
+/// synthetic trace is drawn whole per replication (from a substream of
+/// `wl_rng`) and iterated once; both trace kinds — a fixed job list and a
+/// streamed [`workload::TraceWorkload`] — replay the replication's
+/// segment through [`SegmentReplay`].
+fn job_source(cfg: &SimConfig, rep: u64, mut wl_rng: SimRng) -> JobSource {
+    let needed = cfg.warmup_jobs + cfg.measured_jobs;
+    match &cfg.workload {
+        WorkloadSpec::Stochastic {
+            sides,
+            load,
+            num_mes,
+        } => {
+            let gen = StochasticGen {
+                mesh_w: cfg.mesh_w,
+                mesh_l: cfg.mesh_l,
+                sides: *sides,
+                load: *load,
+                num_mes_mean: *num_mes,
+            };
+            let mut clock: Time = 0;
+            Box::new((0..).map(move |id| gen.next_job(id, &mut clock, &mut wl_rng)))
+        }
+        WorkloadSpec::SyntheticTrace {
+            model,
+            load,
+            runtime_scale,
+        } => {
+            // generate only as many jobs as a run can consume (plus
+            // slack for queue growth)
+            let mut m = model.clone();
+            m.jobs = (needed * 3 / 2 + 100).min(m.jobs.max(needed + 50));
+            let records = m.generate(&mut wl_rng.substream(99));
+            let f = workload::paragon::factor_for_load(m.mean_interarrival_s, *load);
+            Box::new(trace_to_jobs(&records, cfg.mesh_w, cfg.mesh_l, f, *runtime_scale).into_iter())
+        }
+        WorkloadSpec::FixedTrace(jobs) => Box::new(replay_jobs(jobs.clone(), rep, needed)),
+        WorkloadSpec::Trace {
+            trace,
+            load,
+            runtime_scale,
+        } => {
+            // streaming: each replication opens its own lazy cursor at its
+            // segment offset; concurrent replications share only the trace
+            let (w, l, rho, scale) = (cfg.mesh_w, cfg.mesh_l, *load, *runtime_scale);
+            Box::new(SegmentReplay::new(trace.len(), rep, needed, |start| {
+                trace.stream_jobs(w, l, rho, scale, start)
+            }))
+        }
     }
 }
 
-/// The per-replication segment offset shared by the materialized
-/// ([`Source::Fixed`]) and streaming ([`Source::Stream`]) replay paths:
-/// `(start index, stride)` for replication `rep` of a `len`-record trace
-/// when a run consumes `needed` jobs.
-fn segment_start(len: usize, rep: u64, needed: usize) -> (usize, usize) {
-    let stride = (needed % len).max(1);
-    ((rep as usize).wrapping_mul(stride) % len, stride)
-}
-
-/// Where the next arrival comes from.
-enum Source {
-    Stochastic {
-        gen: StochasticGen,
-        clock: Time,
-        next_id: u64,
-    },
-    /// A materialized, pre-scaled job list (`FixedTrace` /
-    /// `SyntheticTrace`). Also the retained equivalence oracle for
-    /// [`Source::Stream`]: both replay segments with identical
-    /// rebase/wrap arithmetic, and
-    /// `crates/core/tests/streaming_trace.rs` pins the two paths to
-    /// bit-identical metrics.
-    Fixed {
-        jobs: Arc<Vec<JobSpec>>,
-        pos: usize,
-        /// Arrival-time rebase so the segment starts at 0 (subtracted).
-        base: Time,
-        /// Accumulated offset added after a wrap-around, so the wrapped
-        /// prefix continues seamlessly after the tail with its original
-        /// inter-arrival gaps instead of flooding in at the current
-        /// clock.
-        shift: Time,
-        /// Wrap-around segment end (exclusive index distance).
-        remaining: usize,
-    },
-    /// Streaming replay of a [`workload::TraceWorkload`]
-    /// (`WorkloadSpec::Trace`): records are parsed and scaled lazily,
-    /// one per arrival, so memory holds only the cursor and the live
-    /// jobs — never the trace. The cursor's job ids are the record
-    /// indexes, which is what makes lazy rebasing possible.
-    Stream {
-        jobs: workload::ScaledJobs,
-        /// Record index of the last record (wrap detection: the cursor
-        /// itself is endless).
-        last_id: u64,
-        /// Arrival-time rebase, captured lazily from the first job the
-        /// cursor yields (equivalently to [`Source::Fixed`]'s eager
-        /// `jobs[pos].arrive`: the first yielded job *is* record `pos`,
-        /// and after a wrap it is record 0).
-        base: Option<Time>,
-        /// Accumulated post-wrap offset, as in [`Source::Fixed`].
-        shift: Time,
-        /// Wrap-around segment end (exclusive index distance).
-        remaining: usize,
-    },
-}
+/// Where arrivals come from (see [`job_source`]).
+type JobSource = Box<dyn Iterator<Item = JobSpec> + Send>;
 
 /// One simulation replication. Create with [`Simulator::new`], consume
 /// with [`Simulator::run`].
@@ -142,9 +120,9 @@ pub struct Simulator {
     net: Network,
     events: EventQueue<Ev>,
     now: Time,
-    wl_rng: SimRng,
     pat_rng: SimRng,
-    source: Source,
+    /// The replication's arrivals, pulled one at a time.
+    source: JobSource,
     /// Live job states keyed by internal id. A BTreeMap, not a HashMap:
     /// `schedule_pass` iterates this map to build the running-job
     /// snapshot for reservation-aware schedulers, and EASY's
@@ -229,7 +207,7 @@ impl Simulator {
     /// `(seed, rep)` pair is fully reproducible.
     pub fn new(cfg: &SimConfig, rep: u64) -> Self {
         let mut rep_rng = SimRng::new(crate::replicate::derive_seed(cfg.seed, rep));
-        let mut wl_rng = rep_rng.substream(1);
+        let wl_rng = rep_rng.substream(1);
         let pat_rng = rep_rng.substream(2);
         let strat_seed = rep_rng.substream(3).raw();
 
@@ -242,69 +220,7 @@ impl Simulator {
         };
         let net = Network::with_topology(topo, cfg.ts);
 
-        let needed = cfg.warmup_jobs + cfg.measured_jobs;
-        let source = match &cfg.workload {
-            WorkloadSpec::Stochastic {
-                sides,
-                load,
-                num_mes,
-            } => Source::Stochastic {
-                gen: StochasticGen {
-                    mesh_w: cfg.mesh_w,
-                    mesh_l: cfg.mesh_l,
-                    sides: *sides,
-                    load: *load,
-                    num_mes_mean: *num_mes,
-                },
-                clock: 0,
-                next_id: 0,
-            },
-            WorkloadSpec::SyntheticTrace {
-                model,
-                load,
-                runtime_scale,
-            } => {
-                // fresh trace draw per replication; generate only as many
-                // jobs as a run can consume (plus slack for queue growth)
-                let mut m = model.clone();
-                m.jobs = (needed * 3 / 2 + 100).min(m.jobs.max(needed + 50));
-                let records = m.generate(&mut wl_rng.substream(99));
-                let f = workload::paragon::factor_for_load(m.mean_interarrival_s, *load);
-                let jobs = trace_to_jobs(&records, cfg.mesh_w, cfg.mesh_l, f, *runtime_scale);
-                let remaining = jobs.len();
-                Source::Fixed {
-                    jobs: Arc::new(jobs),
-                    pos: 0,
-                    base: 0,
-                    shift: 0,
-                    remaining,
-                }
-            }
-            WorkloadSpec::FixedTrace(jobs) => {
-                assert!(!jobs.is_empty(), "empty fixed trace");
-                trace_source(jobs.clone(), rep, needed)
-            }
-            WorkloadSpec::Trace {
-                trace,
-                load,
-                runtime_scale,
-            } => {
-                // streaming replay: the scaled stream is never
-                // materialized — each replication opens its own lazy
-                // cursor at its segment offset, and concurrent
-                // replications of the same (trace, mesh, rho) share only
-                // the trace source (no per-point cache to double-fill)
-                let len = trace.len();
-                let (pos, _) = segment_start(len, rep, needed);
-                Source::Stream {
-                    jobs: trace.stream_jobs(cfg.mesh_w, cfg.mesh_l, *load, *runtime_scale, pos),
-                    last_id: (len - 1) as u64,
-                    base: None,
-                    shift: 0,
-                    remaining: len,
-                }
-            }
-        };
+        let source = job_source(cfg, rep, wl_rng);
 
         let memo_enabled = strategy.failure_persists_until_release();
         Simulator {
@@ -315,7 +231,6 @@ impl Simulator {
             net,
             events: EventQueue::new(),
             now: 0,
-            wl_rng,
             pat_rng,
             source,
             jobs: BTreeMap::new(),
@@ -340,76 +255,12 @@ impl Simulator {
         }
     }
 
-    /// Schedules the next arrival from the job source, if any.
+    /// Schedules the next arrival from the job source, if any, no
+    /// earlier than now.
     fn schedule_next_arrival(&mut self) {
-        match &mut self.source {
-            Source::Stochastic {
-                gen,
-                clock,
-                next_id,
-            } => {
-                let job = gen.next_job(*next_id, clock, &mut self.wl_rng);
-                *next_id += 1;
-                self.events.schedule(job.arrive.max(self.now), Ev::Arrival(job));
-            }
-            Source::Fixed {
-                jobs,
-                pos,
-                base,
-                shift,
-                remaining,
-            } => {
-                if *remaining == 0 {
-                    return;
-                }
-                *remaining -= 1;
-                let mut job = jobs[*pos];
-                // rebase the segment to start at 0 (saturating: guards
-                // against an unsorted stream)
-                let rebased = jobs[*pos].arrive.saturating_sub(*base) + *shift;
-                job.arrive = self.now.max(rebased);
-                job.id = (*pos) as u64; // unique within segment
-                *pos += 1;
-                if *pos == jobs.len() {
-                    // wrap-around: the prefix continues right after the
-                    // tail, preserving its original inter-arrival gaps
-                    // (rebasing to the tail time, not the current clock,
-                    // so no burst of "past" arrivals floods the queue)
-                    *pos = 0;
-                    *base = jobs[0].arrive;
-                    *shift = rebased + 1;
-                }
-                self.events.schedule(job.arrive.max(self.now), Ev::Arrival(job));
-            }
-            Source::Stream {
-                jobs,
-                last_id,
-                base,
-                shift,
-                remaining,
-            } => {
-                if *remaining == 0 {
-                    return;
-                }
-                *remaining -= 1;
-                let Some(mut job) = jobs.next() else {
-                    return; // unreachable: the cursor is endless
-                };
-                // same rebase/wrap arithmetic as Source::Fixed, with the
-                // base captured lazily: the first job yielded after
-                // construction (or after a wrap) is exactly the record
-                // Fixed would have read its base from
-                let b = *base.get_or_insert(job.arrive);
-                let rebased = job.arrive.saturating_sub(b) + *shift;
-                if job.id == *last_id {
-                    // wrap-around next: the prefix continues right after
-                    // the tail with its original inter-arrival gaps
-                    *base = None;
-                    *shift = rebased + 1;
-                }
-                job.arrive = self.now.max(rebased);
-                self.events.schedule(job.arrive.max(self.now), Ev::Arrival(job));
-            }
+        if let Some(mut job) = self.source.next() {
+            job.arrive = job.arrive.max(self.now);
+            self.events.schedule(job.arrive, Ev::Arrival(job));
         }
     }
 
@@ -854,6 +705,7 @@ impl Simulator {
 mod tests {
     use super::*;
     use mesh_alloc::StrategyKind;
+    use std::sync::Arc;
     use mesh_sched::SchedulerKind;
     use workload::SideDist;
 

@@ -1,11 +1,13 @@
 //! End-to-end equivalence of the streaming trace replay
-//! (`WorkloadSpec::Trace` → `Source::Stream`, lazy cursor, lazy rebase)
-//! against the materialized oracle (`WorkloadSpec::FixedTrace` →
-//! `Source::Fixed`, the pre-refactor replay path): for the same config
-//! and seeds the two must produce **bit-identical** metrics, per
-//! replication, including the segment-offset and wrap-around regimes —
-//! and a file-backed workload from [`TraceWorkload::open`] must match a
-//! memory-backed one from the same bytes.
+//! (`WorkloadSpec::Trace`: records parsed and scaled lazily by
+//! `ScaledJobs`) against the same trace pre-scaled up front
+//! (`WorkloadSpec::FixedTrace` over `jobs_at_load`). Both replay through
+//! the one `SegmentReplay` adaptor, so this pins the two cursors that
+//! feed it: for the same config and seeds they must produce
+//! **bit-identical** metrics, per replication, including the
+//! segment-offset and wrap-around regimes — and a file-backed workload
+//! from [`TraceWorkload::open`] must match a memory-backed one from the
+//! same bytes.
 
 use procsim_core::{RunMetrics, SchedulerKind, SimConfig, Simulator, StrategyKind, WorkloadSpec};
 use std::sync::Arc;
@@ -81,8 +83,8 @@ fn streaming_replay_matches_materialized_oracle() {
 fn streaming_replay_matches_oracle_through_wraparound() {
     // a short trace with a budget near its length: every offset
     // replication wraps past the end and continues into the prefix —
-    // the regime where Stream's lazy base recapture must reproduce
-    // Fixed's eager `jobs[0].arrive` rebase exactly
+    // the regime where the streamed cursor rewinds its record iterator
+    // (reopening a file) and the adaptor recaptures its base
     let trace = Arc::new(TraceWorkload::from_swf(&sample_text(80)).unwrap());
     for rep in 0..4 {
         assert_rep_equivalent(&trace, 10, 45, rep);

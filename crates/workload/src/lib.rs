@@ -24,8 +24,9 @@
 //! Trace replay is a **streaming pipeline**: [`swf::SwfRecords`] parses
 //! one record at a time from any `BufRead` source,
 //! [`TraceWorkload::open`] validates a file and computes scaling
-//! statistics in one online pass, and [`trace::ScaledJobs`] applies the
-//! offered-load factor lazily — so million-job archive logs replay in
+//! statistics in one online pass, [`trace::ScaledJobs`] applies the
+//! offered-load factor lazily, and [`trace::SegmentReplay`] cuts one
+//! replication's segment out of it — so million-job archive logs replay in
 //! memory bounded by the live-job count, not the trace length
 //! (`docs/WORKLOADS.md` § Streaming pipeline).
 
@@ -48,7 +49,7 @@ pub use stochastic::{SideDist, StochasticGen};
 pub use swf::{
     parse_swf, parse_swf_retained, write_swf, write_swf_to, SwfError, SwfErrorKind, SwfRecords,
 };
-pub use trace::{RecordIter, ScaledJobs, TraceError, TraceWorkload};
+pub use trace::{replay_jobs, RecordIter, ScaledJobs, SegmentReplay, TraceError, TraceWorkload};
 
 /// One job as consumed by the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -37,9 +37,9 @@
 //! *live* jobs, not the trace length:
 //!
 //! ```text
-//! File ──SwfRecords──▶ TraceRecord ──ScaledJobs──▶ JobSpec ──▶ EventQueue
-//!        (one line            (offered-load factor       (one in-flight
-//!         at a time)           applied on the fly)         arrival)
+//! File ──SwfRecords──▶ TraceRecord ──ScaledJobs──▶ JobSpec ──SegmentReplay──▶ JobSpec
+//!        (one line            (offered-load factor         (one replication's
+//!         at a time)           applied on the fly)          segment, one pass)
 //! ```
 //!
 //! [`TraceWorkload::open`] makes one validating pass (computing the
@@ -49,10 +49,14 @@
 //! [`trace_to_jobs`] ([`crate::paragon::scale_trace_record`]), so the
 //! lazy and materialized paths are bit-identical by construction — and
 //! the golden CSVs plus `crates/workload/tests/streaming_equivalence.rs`
-//! pin it down empirically. See docs/WORKLOADS.md § Streaming pipeline.
+//! pin it down empirically. [`SegmentReplay`] then cuts one
+//! replication's arrivals out of either a [`ScaledJobs`] cursor or a
+//! materialized job list ([`replay_jobs`]). See docs/WORKLOADS.md
+//! § Streaming pipeline.
 
 use crate::swf::{SwfError, SwfRecords};
 use crate::{factor_for_load, trace_to_jobs, JobSpec, TraceRecord};
+use desim::Time;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -288,17 +292,29 @@ impl TraceWorkload {
     /// A file-backed iterator panics if the file fails to re-parse: the
     /// file was validated by [`TraceWorkload::open`], so that only
     /// happens if it was modified mid-run.
-    pub fn iter_records(&self) -> RecordIter<'_> {
-        let inner = match &self.source {
-            TraceSource::Memory(recs) => RecordIterInner::Memory { recs, pos: 0 },
-            TraceSource::File(path) => RecordIterInner::File {
+    pub fn iter_records(&self) -> RecordIter {
+        self.records_from(0)
+    }
+
+    /// The record iterator positioned at record `start`.
+    fn records_from(&self, start: usize) -> RecordIter {
+        let records = match &self.source {
+            TraceSource::Memory(recs) => Records::Memory(recs.clone()),
+            TraceSource::File(path) => Records::File {
+                path: path.clone(),
                 parser: reopen_validated(path),
-                path,
-                yielded: 0,
-                expect: self.len,
             },
         };
-        RecordIter { inner }
+        let mut it = RecordIter {
+            records,
+            pos: 0,
+            len: self.len,
+        };
+        // a file that ends before `start` panics inside `next`
+        for _ in 0..start {
+            it.next();
+        }
+        it
     }
 
     /// Summary statistics: exact for memory-backed workloads, computed
@@ -366,8 +382,7 @@ impl TraceWorkload {
     ///
     /// This **materializes** the whole scaled stream — it is the batch
     /// oracle the streaming [`TraceWorkload::stream_jobs`] cursor is
-    /// tested against, and stays useful for small pre-scaled fixtures
-    /// (the simulator's `FixedTrace` runs). Production replay uses
+    /// tested against. Production replay uses
     /// [`TraceWorkload::stream_jobs`].
     pub fn jobs_at_load(
         &self,
@@ -396,8 +411,8 @@ impl TraceWorkload {
     /// `len-1`, `0`, `1`, …), and every `JobSpec` field is bit-identical
     /// to `jobs_at_load(..)[id]` (the per-record arithmetic is shared:
     /// [`crate::paragon::scale_trace_record`]). The iterator never ends;
-    /// the simulator's replication budget decides how much of it to
-    /// consume. Memory is O(1) per cursor for file-backed workloads.
+    /// a [`SegmentReplay`] over it bounds a replication to one pass.
+    /// Memory is O(1) per cursor for file-backed workloads.
     pub fn stream_jobs(
         &self,
         mesh_w: u16,
@@ -410,21 +425,8 @@ impl TraceWorkload {
         let machine = mesh_w as u32 * mesh_l as u32;
         let f = self.factor_for_offered_load(machine, rho);
         assert!(f > 0.0 && runtime_scale > 0.0);
-        let source = match &self.source {
-            TraceSource::Memory(recs) => CursorSource::Memory(recs.clone()),
-            TraceSource::File(path) => {
-                let mut parser = reopen_validated(path);
-                skip_validated(&mut parser, start, path);
-                CursorSource::File {
-                    path: path.clone(),
-                    parser,
-                }
-            }
-        };
         ScaledJobs {
-            source,
-            pos: start,
-            len: self.len,
+            records: self.records_from(start),
             mesh_w,
             mesh_l,
             f,
@@ -448,78 +450,63 @@ impl TraceWorkload {
     }
 }
 
-/// Skips `n` records of a freshly reopened, previously validated file.
-fn skip_validated(parser: &mut SwfRecords<BufReader<std::fs::File>>, n: usize, path: &Path) {
-    for i in 0..n {
-        match parser.next() {
-            Some(Ok(_)) => {}
-            _ => panic!(
-                "trace file {} changed mid-run: stream ended at record {i} while skipping to {n}",
-                path.display()
-            ),
-        }
-    }
-}
-
-enum RecordIterInner<'a> {
-    Memory {
-        recs: &'a [TraceRecord],
-        pos: usize,
-    },
-    File {
-        parser: SwfRecords<BufReader<std::fs::File>>,
-        path: &'a Path,
-        yielded: usize,
-        expect: usize,
-    },
-}
-
-/// Iterator over a workload's records in submit order (see
-/// [`TraceWorkload::iter_records`]).
-pub struct RecordIter<'a> {
-    inner: RecordIterInner<'a>,
-}
-
-impl Iterator for RecordIter<'_> {
-    type Item = TraceRecord;
-
-    fn next(&mut self) -> Option<TraceRecord> {
-        match &mut self.inner {
-            RecordIterInner::Memory { recs, pos } => {
-                let r = recs.get(*pos).copied();
-                *pos += 1;
-                r
-            }
-            RecordIterInner::File {
-                parser,
-                path,
-                yielded,
-                expect,
-            } => match parser.next() {
-                Some(Ok(r)) => {
-                    *yielded += 1;
-                    Some(r)
-                }
-                Some(Err(e)) => panic!("trace file {} changed mid-run: {e}", path.display()),
-                None => {
-                    assert!(
-                        *yielded == *expect,
-                        "trace file {} changed mid-run: {yielded} records, validated {expect}",
-                        path.display()
-                    );
-                    None
-                }
-            },
-        }
-    }
-}
-
-enum CursorSource {
+/// Where a [`RecordIter`] reads from.
+enum Records {
+    /// The workload's retained records, shared.
     Memory(Arc<Vec<TraceRecord>>),
+    /// A parser of its own over the validated file.
     File {
         path: Arc<PathBuf>,
         parser: SwfRecords<BufReader<std::fs::File>>,
     },
+}
+
+/// Iterator over a workload's records in submit order (see
+/// [`TraceWorkload::iter_records`]). It owns its source, so it outlives
+/// the borrow it was made from and [`ScaledJobs`] can rewind it at every
+/// wrap.
+pub struct RecordIter {
+    records: Records,
+    /// Index of the next record.
+    pos: usize,
+    /// Records in one pass, as validated.
+    len: usize,
+}
+
+impl RecordIter {
+    /// Restarts at record 0; a file-backed iterator reopens its file.
+    fn rewind(&mut self) {
+        if let Records::File { path, parser } = &mut self.records {
+            *parser = reopen_validated(path);
+        }
+        self.pos = 0;
+    }
+}
+
+impl Iterator for RecordIter {
+    type Item = TraceRecord;
+
+    fn next(&mut self) -> Option<TraceRecord> {
+        let rec = match &mut self.records {
+            Records::Memory(recs) => recs.get(self.pos).copied(),
+            Records::File { path, parser } => match parser.next() {
+                Some(Ok(r)) => Some(r),
+                Some(Err(e)) => panic!("trace file {} changed mid-run: {e}", path.display()),
+                None => {
+                    assert!(
+                        self.pos == self.len,
+                        "trace file {} changed mid-run: {} records, validated {}",
+                        path.display(),
+                        self.pos,
+                        self.len
+                    );
+                    None
+                }
+            },
+        };
+        self.pos += usize::from(rec.is_some());
+        rec
+    }
 }
 
 /// An endless, lazily scaled job stream over a [`TraceWorkload`] — see
@@ -527,56 +514,120 @@ enum CursorSource {
 /// `[start+1]`, …, `[len-1]`, `[0]`, … without ever materializing the
 /// scaled vector; file-backed cursors hold only a line buffer.
 pub struct ScaledJobs {
-    source: CursorSource,
-    pos: usize,
-    len: usize,
+    records: RecordIter,
     mesh_w: u16,
     mesh_l: u16,
     f: f64,
     runtime_scale: f64,
 }
 
-impl ScaledJobs {
-    /// Number of records in one full pass over the underlying trace.
-    pub fn trace_len(&self) -> usize {
-        self.len
-    }
-}
-
 impl Iterator for ScaledJobs {
     type Item = JobSpec;
 
     fn next(&mut self) -> Option<JobSpec> {
-        let rec = match &mut self.source {
-            CursorSource::Memory(recs) => recs[self.pos],
-            CursorSource::File { path, parser } => match parser.next() {
-                Some(Ok(r)) => r,
-                Some(Err(e)) => panic!("trace file {} changed mid-run: {e}", path.display()),
-                None => panic!(
-                    "trace file {} changed mid-run: stream ended at record {} of {}",
-                    path.display(),
-                    self.pos,
-                    self.len
-                ),
-            },
-        };
-        let job = crate::paragon::scale_trace_record(
+        let id = self.records.pos as u64;
+        // a file that ends early panics inside the record iterator
+        let rec = self.records.next()?;
+        if self.records.pos == self.records.len {
+            self.records.rewind();
+        }
+        Some(crate::paragon::scale_trace_record(
             &rec,
-            self.pos as u64,
+            id,
             self.mesh_w,
             self.mesh_l,
             self.f,
             self.runtime_scale,
-        );
-        self.pos += 1;
-        if self.pos == self.len {
-            self.pos = 0;
-            if let CursorSource::File { path, parser } = &mut self.source {
-                *parser = reopen_validated(path);
-            }
+        ))
+    }
+}
+
+/// One replication's segment of a wrapping trace — the single replay
+/// path of both trace workloads: a materialized job list
+/// ([`replay_jobs`]) and a streamed [`TraceWorkload`] (over
+/// [`TraceWorkload::stream_jobs`]).
+///
+/// Replication `rep` starts `rep × needed` jobs into the stream (mod its
+/// length), so replications that each consume `needed` jobs see
+/// disjoint segments. When the trace is too short for that — `needed` a
+/// multiple of its length would leave every replication at offset 0 —
+/// the stride degrades to one job per replication, which keeps
+/// replications distinct (the queueing transient differs) even though
+/// their job populations overlap.
+///
+/// Arrivals are rebased so the segment starts at 0 (saturating: guards
+/// against an unsorted stream). After the stream wraps, the prefix
+/// continues right after the tail with its original inter-arrival gaps —
+/// rebased to the tail time, not the simulation clock, so no burst of
+/// "past" arrivals floods the queue. A segment is at most one pass: it
+/// ends after `len` jobs, so a run that asks for more ends early.
+pub struct SegmentReplay<I> {
+    jobs: I,
+    /// Record index of the last record (wrap detection: the stream
+    /// itself wraps silently).
+    last_id: u64,
+    /// Arrival rebase, taken from the first job after the start or a
+    /// wrap.
+    base: Option<Time>,
+    /// Accumulated offset added after a wrap.
+    shift: Time,
+    /// Jobs left in the one-pass segment.
+    remaining: usize,
+}
+
+impl<I: Iterator<Item = JobSpec>> SegmentReplay<I> {
+    /// Replication `rep`'s segment of a `len`-job trace when a run
+    /// consumes `needed` jobs. `open(start)` must return the trace's jobs
+    /// from record `start` on, wrapping to record 0 after record
+    /// `len - 1`, each with its record index as `id` (as
+    /// [`TraceWorkload::stream_jobs`] does).
+    pub fn new(len: usize, rep: u64, needed: usize, open: impl FnOnce(usize) -> I) -> Self {
+        assert!(len > 0, "empty trace");
+        let stride = (needed % len).max(1);
+        let start = (rep as usize).wrapping_mul(stride) % len;
+        SegmentReplay {
+            jobs: open(start),
+            last_id: (len - 1) as u64,
+            base: None,
+            shift: 0,
+            remaining: len,
+        }
+    }
+}
+
+impl<I: Iterator<Item = JobSpec>> Iterator for SegmentReplay<I> {
+    type Item = JobSpec;
+
+    fn next(&mut self) -> Option<JobSpec> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let mut job = self.jobs.next()?;
+        let base = *self.base.get_or_insert(job.arrive);
+        job.arrive = job.arrive.saturating_sub(base) + self.shift;
+        if job.id == self.last_id {
+            self.base = None;
+            self.shift = job.arrive + 1;
         }
         Some(job)
     }
+}
+
+/// Replication `rep`'s [`SegmentReplay`] of a materialized, pre-scaled
+/// job list; the yielded ids are the list indexes.
+pub fn replay_jobs(
+    jobs: Arc<Vec<JobSpec>>,
+    rep: u64,
+    needed: usize,
+) -> SegmentReplay<impl Iterator<Item = JobSpec> + Send> {
+    let len = jobs.len();
+    SegmentReplay::new(len, rep, needed, move |start| {
+        (start..len).chain(0..start).map(move |i| JobSpec {
+            id: i as u64,
+            ..jobs[i]
+        })
+    })
 }
 
 #[cfg(test)]

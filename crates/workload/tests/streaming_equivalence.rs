@@ -151,6 +151,37 @@ fn open_falls_back_to_retained_for_unsorted_files() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Opens a sorted `jobs`-record file as a streaming workload, then
+/// rewrites the file with only its first `keep` records, as if it
+/// changed under a running replay.
+fn shrunk_after_open(tag: &str, jobs: usize, keep: usize) -> TraceWorkload {
+    let recs: Vec<TraceRecord> = (0..jobs)
+        .map(|i| TraceRecord {
+            submit_s: 10.0 * i as f64,
+            size: 4,
+            runtime_s: 100.0,
+        })
+        .collect();
+    let path = std::env::temp_dir().join(format!("procsim_shrunk_{tag}_{}.swf", std::process::id()));
+    std::fs::write(&path, write_swf(&recs)).unwrap();
+    let w = TraceWorkload::open(&path).unwrap();
+    assert!(w.is_streaming());
+    std::fs::write(&path, write_swf(&recs[..keep])).unwrap();
+    w
+}
+
+#[test]
+#[should_panic(expected = "changed mid-run")]
+fn a_file_shrunk_mid_run_panics_when_skipping_to_a_segment() {
+    let _ = shrunk_after_open("skip", 10, 4).stream_jobs(16, 22, 0.5, 360.0, 7);
+}
+
+#[test]
+#[should_panic(expected = "changed mid-run: 4 records, validated 10")]
+fn a_file_shrunk_mid_run_fails_the_end_of_stream_count() {
+    let _ = shrunk_after_open("count", 10, 4).stream_jobs(16, 22, 0.5, 360.0, 0).nth(5);
+}
+
 /// Valid record with integral times (the writer's resolution).
 fn arb_record() -> impl Strategy<Value = TraceRecord> {
     (0u32..2_000_000u32, 1u32..=512u32, 1u32..=200_000u32).prop_map(|(submit, size, rt)| {

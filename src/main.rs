@@ -44,6 +44,7 @@ use procsim::{
     write_swf_to, CampaignOptions, Cm5Model, ParagonModel, PointResult, PointSettings, Scenario,
     SimConfig, SimRng, StopReason, StrategyKind, TopologyKind, TraceWorkload, WorkloadSpec,
 };
+use procsim_core::scenario::Value;
 use std::io::Write;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -164,6 +165,30 @@ fn named<T: FromStr<Err = String>>(a: &Args, key: &str, default: &str) -> T {
     parse_name(a.map.get(key).map_or(default, String::as_str))
 }
 
+/// Holds a flag's value to the rule of the scenario knob `knob`, so the
+/// CLI rejects exactly what a scenario file would; dies naming the flag.
+fn check_as_knob(flag: &str, knob: &str, v: Value) {
+    if let Err(e) = PointSettings::check_knob(knob, &v, 0, flag) {
+        die(&format!("--{flag} {}", e.msg));
+    }
+}
+
+/// `--load`, or `default` when absent: positive and finite, like the
+/// `load` knob.
+fn load_flag(a: &Args, default: f64) -> f64 {
+    let load = num(a, "load").unwrap_or(default);
+    check_as_knob("load", "load", Value::Float(load));
+    load
+}
+
+/// `--jobs` (measured jobs), or `default` when absent: non-zero, like
+/// the `measured` knob.
+fn jobs_flag(a: &Args, default: usize) -> usize {
+    let jobs = num(a, "jobs").unwrap_or(default);
+    check_as_knob("jobs", "measured", Value::Int(i64::try_from(jobs).unwrap_or(i64::MAX)));
+    jobs
+}
+
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!("run `procsim help` for usage");
@@ -172,8 +197,9 @@ fn die(msg: &str) -> ! {
 
 /// The `run` point: the scenario format's built-in paper defaults with
 /// the flags on top.
-fn config_from(a: &Args, load: f64) -> SimConfig {
-    let jobs: usize = num(a, "jobs").unwrap_or(400);
+fn config_from(a: &Args) -> SimConfig {
+    let load = load_flag(a, 0.0008);
+    let jobs = jobs_flag(a, 400);
     let settings = PointSettings {
         strategy: named(a, "strategy", "gabl"),
         scheduler: named(a, "scheduler", "fcfs"),
@@ -236,6 +262,8 @@ fn run_trace(a: &Args, reps: usize) {
         .positional
         .first()
         .unwrap_or_else(|| die("trace needs a .swf file path"));
+    let load = load_flag(a, 0.7);
+    let req_jobs = jobs_flag(a, 400);
     let trace = TraceWorkload::open(path).unwrap_or_else(|e| die(&e.to_string()));
     let (mesh_w, mesh_l) = procsim::PAPER_MESH;
     let machine = mesh_w as u32 * mesh_l as u32;
@@ -257,11 +285,6 @@ fn run_trace(a: &Args, reps: usize) {
              a factor f corresponds to --load <native_load / f> — see docs/WORKLOADS.md",
         );
     }
-    let load: f64 = num(a, "load").unwrap_or(0.7);
-    // `!(x > 0.0)` also rejects NaN, which `x <= 0.0` would let through
-    if !(load > 0.0 && load.is_finite()) {
-        die("--load must be a positive number (offered-load fraction, e.g. 0.7)");
-    }
     let scale: f64 = num(a, "scale").unwrap_or(360.0);
     if !(scale > 0.0 && scale.is_finite()) {
         die("--scale must be a positive number (seconds of runtime per message)");
@@ -279,7 +302,6 @@ fn run_trace(a: &Args, reps: usize) {
     };
     let scheduler = named(a, "scheduler", "fcfs");
     let seed: u64 = num(a, "seed").unwrap_or(42);
-    let req_jobs: usize = num(a, "jobs").unwrap_or(400);
     // a replication only sees trace.len() arrivals (the segment wraps the
     // stream exactly once), so cap warmup + measurement to what the trace
     // can feed
@@ -542,9 +564,7 @@ fn main() {
 
     match cmd {
         "run" => {
-            let load: f64 = num(&a, "load").unwrap_or(0.0008);
-            let cfg = config_from(&a, load);
-            print_point(&cfg, reps);
+            print_point(&config_from(&a), reps);
         }
         "trace" => run_trace(&a, reps),
         "gen-trace" => run_gen_trace(&a),

@@ -79,6 +79,27 @@ fn removed_and_misspelled_flags_are_rejected() {
     assert!(stderr.contains("unknown command 'sweep'"), "{stderr}");
 }
 
+/// Asserts `args` is a usage error (exit 2) whose message names `flag`
+/// with `why`, and that nothing ran.
+fn assert_rejected(args: &[&str], flag: &str, why: &str) {
+    let out = procsim(args);
+    assert_eq!(out.status.code(), Some(2), "{args:?}");
+    assert!(out.stdout.is_empty(), "{args:?}: nothing may run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&format!("--{flag} {why}")), "{args:?}: {stderr}");
+}
+
+#[test]
+fn degenerate_load_and_job_count_are_rejected() {
+    // the scenario knobs' rules: load positive and finite (`--load 0`
+    // used to never terminate, the others ran at saturation), measured
+    // non-zero (`--jobs 0` printed all-zero metrics with exit 0)
+    for load in ["0", "-1", "nan", "inf"] {
+        assert_rejected(&["run", "--load", load, "--jobs", "30"], "load", "must be a positive finite");
+    }
+    assert_rejected(&["run", "--jobs", "0"], "jobs", "must be non-zero");
+}
+
 #[test]
 fn malformed_number_is_a_usage_error() {
     // exit 2 with the flag named, not a panic (exit 101)

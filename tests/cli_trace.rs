@@ -85,6 +85,26 @@ fn cli_reports_malformed_swf_with_line_number() {
 }
 
 #[test]
+fn degenerate_load_and_job_count_are_rejected() {
+    // exit 2 before the trace is even summarized, as for `procsim run`
+    for (flag, value, why) in [
+        ("load", "0", "must be a positive finite"),
+        ("load", "nan", "must be a positive finite"),
+        ("load", "inf", "must be a positive finite"),
+        ("jobs", "0", "must be non-zero"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_procsim"))
+            .args(["trace", SAMPLE, &format!("--{flag}"), value])
+            .output()
+            .expect("procsim binary runs");
+        assert_eq!(out.status.code(), Some(2), "--{flag} {value}");
+        assert!(out.stdout.is_empty(), "--{flag} {value}: nothing may run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("--{flag} {why}")), "{stderr}");
+    }
+}
+
+#[test]
 fn checked_in_sample_calibrates_factor_for_load() {
     let text = std::fs::read_to_string(SAMPLE).expect("sample checked in");
     let trace = TraceWorkload::from_swf(&text).expect("sample parses");
