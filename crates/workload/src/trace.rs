@@ -393,13 +393,8 @@ impl TraceWorkload {
     ) -> Vec<JobSpec> {
         let machine = mesh_w as u32 * mesh_l as u32;
         let f = self.factor_for_offered_load(machine, rho);
-        match &self.source {
-            TraceSource::Memory(recs) => trace_to_jobs(recs, mesh_w, mesh_l, f, runtime_scale),
-            TraceSource::File(_) => {
-                let recs: Vec<TraceRecord> = self.iter_records().collect();
-                trace_to_jobs(&recs, mesh_w, mesh_l, f, runtime_scale)
-            }
-        }
+        let recs: Vec<TraceRecord> = self.iter_records().collect();
+        trace_to_jobs(&recs, mesh_w, mesh_l, f, runtime_scale)
     }
 
     /// A lazy, endlessly wrapping stream of scaled simulator jobs

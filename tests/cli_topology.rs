@@ -91,9 +91,8 @@ fn assert_rejected(args: &[&str], flag: &str, why: &str) {
 
 #[test]
 fn degenerate_load_and_job_count_are_rejected() {
-    // the scenario knobs' rules: load positive and finite (`--load 0`
-    // used to never terminate, the others ran at saturation), measured
-    // non-zero (`--jobs 0` printed all-zero metrics with exit 0)
+    // the scenario knobs' rules: load positive and finite, measured
+    // (`--jobs`) non-zero
     for load in ["0", "-1", "nan", "inf"] {
         assert_rejected(&["run", "--load", load, "--jobs", "30"], "load", "must be a positive finite");
     }
