@@ -1,6 +1,6 @@
 //! Resumable campaign runner: expands a [`Scenario`] into its full
 //! cross-product of experimental points, shards the missing ones through
-//! the shared worker pool ([`crate::replicate::run_points_on`]), and
+//! a worker pool ([`crate::replicate::run_points_on`]), and
 //! caches each completed point on disk under a content hash of its spec —
 //! so an interrupted or extended campaign resumes for free, rerunning
 //! only points whose results are not already cached.
@@ -16,9 +16,11 @@
 //! * Cache keys are FNV-1a content hashes of the canonical *spec string*
 //!   (every code-relevant knob: mesh geometry, network constants,
 //!   traffic pattern, topology, strategy, scheduler, workload + load,
-//!   fidelity and stopping knobs, seed, and a format version). Any
-//!   fidelity change re-keys exactly the affected points; cosmetic
-//!   scenario edits (comments, output columns) change nothing.
+//!   fidelity and stopping knobs, seed, and a format version; an
+//!   offered-load point adds its load unit, a trace point its path and
+//!   an FNV-1a hash of the file's bytes). Any fidelity change — or an
+//!   edit of a replayed trace — re-keys exactly the affected points;
+//!   cosmetic scenario edits (comments, output columns) change nothing.
 //! * Expansion order is the declared matrix order (later axes fastest);
 //!   all internal maps are `BTreeMap`s, so the merged CSV is identical
 //!   however the campaign was sliced across runs (D001).
@@ -28,13 +30,16 @@
 //! point is rerun on resume.
 
 use std::collections::BTreeMap;
+use std::io::Read;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use simstats::StopReason;
+use workload::{TraceError, TraceWorkload};
 
-use crate::pool;
+use crate::pool::WorkerPool;
 use crate::replicate::{derive_seed, run_points_on, PointResult};
-use crate::scenario::{OutputSpec, PointSettings, Scenario, ScenarioError};
+use crate::scenario::{LoadUnit, OutputSpec, PointSettings, Scenario, ScenarioError, WorkloadName};
 
 /// Bump when the cache entry format or the spec string changes meaning:
 /// stale-format entries then miss instead of corrupting a merge.
@@ -56,11 +61,16 @@ pub struct CampaignPoint {
     pub spec: String,
     /// FNV-1a 64 hash of [`CampaignPoint::spec`], as 16 hex digits.
     pub hash: String,
+    /// The opened trace file of a `trace` point (`None` otherwise).
+    pub trace: Option<Arc<TraceWorkload>>,
 }
 
-/// FNV-1a 64-bit over a byte string.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
+/// The FNV-1a 64-bit offset basis: the hash of no bytes.
+const FNV1A_EMPTY: u64 = 0xcbf29ce484222325;
+
+/// FNV-1a 64-bit: folds `bytes` into the running hash `h` (start from
+/// [`FNV1A_EMPTY`]), so a file hashes chunk by chunk.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);
@@ -68,12 +78,35 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Opens the SWF file a `trace` knob names and hashes its bytes, read
+/// in chunks. The message of an error names the path.
+fn open_trace(path: &str) -> Result<(Arc<TraceWorkload>, u64), String> {
+    let trace = TraceWorkload::open(path).map_err(|e| match e {
+        TraceError::Io { message, .. } => format!("cannot read trace {path:?}: {message}"),
+        other => format!("trace {path:?}: {other}"),
+    })?;
+    let mut file = std::fs::File::open(path).map_err(|e| format!("cannot read trace {path:?}: {e}"))?;
+    let mut buf = vec![0u8; 1 << 16];
+    let mut h = FNV1A_EMPTY;
+    loop {
+        match file.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => h = fnv1a(h, &buf[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(format!("cannot read trace {path:?}: {e}")),
+        }
+    }
+    Ok((Arc::new(trace), h))
+}
+
 /// Builds the canonical spec string of a point: every knob that can
 /// change simulation output, in fixed order, plus the cache format
 /// version. Cosmetic scenario properties (name, output layout) are
-/// deliberately absent.
-fn spec_string(s: &PointSettings, seed: u64) -> String {
-    format!(
+/// deliberately absent. The load unit and the trace (path and content
+/// hash `trace_hash`) are appended only where they apply, so every
+/// arrival-load point keeps the key it always had.
+fn spec_string(s: &PointSettings, seed: u64, trace_hash: Option<u64>) -> String {
+    let mut spec = format!(
         "{CACHE_FORMAT}|mesh={}x{}|ts={}|plen={}|pattern={}|topology={}|strategy={}|\
          scheduler={}|workload={}|load={}|num_mes={}|runtime_scale={}|warmup={}|measured={}|\
          min_reps={}|max_reps={}|precision=paper95-5|seed={}",
@@ -94,12 +127,22 @@ fn spec_string(s: &PointSettings, seed: u64) -> String {
         s.min_reps,
         s.max_reps,
         seed,
-    )
+    );
+    if s.load_unit == LoadUnit::Offered {
+        spec.push_str("|load_unit=offered");
+    }
+    if let Some(h) = trace_hash {
+        spec.push_str(&format!("|trace={}|trace_fnv1a={h:016x}", s.trace));
+    }
+    spec
 }
 
 /// Expands a scenario into its full cross-product of points, applying
-/// knob precedence (builtin < defaults < matrix < override) and deriving
-/// per-point seeds from the seed slot.
+/// knob precedence (builtin < defaults < matrix < override), deriving
+/// per-point seeds from the seed slot, and opening each distinct trace
+/// file once. A cross-knob conflict, an unreadable or malformed trace,
+/// and a replication budget longer than its trace are errors at the
+/// line of the knob that set them.
 pub fn expand(s: &Scenario) -> Result<Vec<CampaignPoint>, ScenarioError> {
     // sizes of each axis, and which axes advance the seed slot
     let sizes: Vec<usize> = s.matrix.iter().map(|(_, vs)| vs.len()).collect();
@@ -114,16 +157,25 @@ pub fn expand(s: &Scenario) -> Result<Vec<CampaignPoint>, ScenarioError> {
     };
 
     let mut points = Vec::with_capacity(total);
+    let mut traces: BTreeMap<String, (Arc<TraceWorkload>, u64)> = BTreeMap::new();
     // odometer over the axes: later axes vary fastest
     let mut idx = vec![0usize; s.matrix.len()];
     for index in 0..total {
         let mut settings = PointSettings::default();
+        // knob -> (line, place) of the assignment that set it last
+        let mut origin: BTreeMap<String, (usize, String)> = BTreeMap::new();
+        let mut set = |settings: &mut PointSettings, k: &str, v, place: String| {
+            let line = s.lines.get(&place).copied().unwrap_or(0);
+            settings.apply(k, v, line, &place)?;
+            origin.insert(k.to_string(), (line, place));
+            Ok::<(), ScenarioError>(())
+        };
         for (k, v) in &s.defaults {
-            settings.apply(k, v, 0, &format!("defaults.{k}"))?;
+            set(&mut settings, k, v, format!("defaults.{k}"))?;
         }
         for (axis, &i) in s.matrix.iter().zip(&idx) {
             let (k, vs) = axis;
-            settings.apply(k, &vs[i], 0, &format!("matrix.{k}"))?;
+            set(&mut settings, k, &vs[i], format!("matrix.{k}"))?;
         }
         for rule in &s.overrides {
             // match on the bare rendering of the point's current setting
@@ -137,11 +189,41 @@ pub fn expand(s: &Scenario) -> Result<Vec<CampaignPoint>, ScenarioError> {
             };
             if current == rule.value {
                 for (k, v) in &rule.set {
-                    settings.apply(k, v, rule.line, &format!("override.{}={}.{k}", rule.axis, rule.value))?;
+                    set(&mut settings, k, v, format!("override.{}={}.{k}", rule.axis, rule.value))?;
                 }
             }
         }
-        settings.validate(&format!("matrix point {index}"))?;
+        // an error lands on the first blamed knob a scenario line set
+        let blame = |knobs: &[&str], msg: String| {
+            let (line, place) = knobs
+                .iter()
+                .find_map(|&k| origin.get(k).cloned())
+                .unwrap_or_else(|| (0, format!("matrix point {index}")));
+            ScenarioError::new(line, place, msg)
+        };
+        settings.validate().map_err(|(knobs, msg)| blame(knobs, msg))?;
+        let trace = if settings.workload == WorkloadName::Trace {
+            if !traces.contains_key(&settings.trace) {
+                let opened = open_trace(&settings.trace).map_err(|msg| blame(&["trace"], msg))?;
+                traces.insert(settings.trace.clone(), opened);
+            }
+            let (trace, hash) = &traces[&settings.trace];
+            let budget = settings.warmup + settings.measured;
+            if budget > trace.len() {
+                return Err(blame(
+                    &["measured", "warmup", "trace"],
+                    format!(
+                        "trace {:?} has {} jobs, fewer than warmup + measured = {budget}; a \
+                         replication replays it at most once, so lower warmup or measured",
+                        settings.trace,
+                        trace.len()
+                    ),
+                ));
+            }
+            Some((trace.clone(), *hash))
+        } else {
+            None
+        };
 
         // seed slot: odometer restricted to the seed axes, later fastest
         let mut slot = 0u64;
@@ -151,8 +233,8 @@ pub fn expand(s: &Scenario) -> Result<Vec<CampaignPoint>, ScenarioError> {
             }
         }
         let seed = derive_seed(s.seed, slot);
-        let spec = spec_string(&settings, seed);
-        let hash = format!("{:016x}", fnv1a(spec.as_bytes()));
+        let spec = spec_string(&settings, seed, trace.as_ref().map(|(_, h)| *h));
+        let hash = format!("{:016x}", fnv1a(FNV1A_EMPTY, spec.as_bytes()));
         points.push(CampaignPoint {
             index,
             slot,
@@ -160,6 +242,7 @@ pub fn expand(s: &Scenario) -> Result<Vec<CampaignPoint>, ScenarioError> {
             seed,
             spec,
             hash,
+            trace: trace.map(|(t, _)| t),
         });
 
         // advance the odometer
@@ -312,12 +395,10 @@ pub fn cached_count(points: &[CampaignPoint], dir: &Path) -> usize {
 // the runner
 // ---------------------------------------------------------------------------
 
-/// Execution knobs of one `run_campaign` invocation (all orthogonal to
-/// the results: thread count and caching change wall-clock only).
+/// Caching knobs of one `run_campaign` invocation (orthogonal to the
+/// results: caching changes wall-clock only).
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
-    /// Worker threads (`None` = the shared global pool's size).
-    pub threads: Option<usize>,
     /// Cache directory for completed points.
     pub cache_dir: PathBuf,
     /// Ignore (and overwrite) existing cache entries.
@@ -340,13 +421,14 @@ pub struct CampaignOutcome {
 }
 
 /// Expands `scenario`, loads every cached point, runs the missing ones
-/// on the worker pool, persists them, and merges everything into the
-/// scenario's CSV layout. The merged CSV is byte-identical to an
-/// uninterrupted fresh run at any thread count, however the campaign was
-/// previously sliced.
+/// on `pool`, persists them, and merges everything into the scenario's
+/// CSV layout. The merged CSV is byte-identical to an uninterrupted
+/// fresh run at any pool size, however the campaign was previously
+/// sliced.
 pub fn run_campaign(
     scenario: &Scenario,
     opts: &CampaignOptions,
+    pool: &WorkerPool,
 ) -> Result<CampaignOutcome, CampaignError> {
     let points = expand(scenario)?;
     std::fs::create_dir_all(&opts.cache_dir).map_err(io_err(format!(
@@ -380,18 +462,15 @@ pub fn run_campaign(
     }
     let executed: usize = groups.values().map(Vec::len).sum();
 
-    if executed > 0 {
-        let pool = pool::pool_with(opts.threads);
-        for ((min_reps, max_reps), members) in &groups {
-            let cfgs: Vec<crate::SimConfig> = members
-                .iter()
-                .map(|&i| points[i].settings.sim_config(points[i].seed))
-                .collect();
-            let fresh = run_points_on(&pool, &cfgs, *min_reps, *max_reps);
-            for (&i, p) in members.iter().zip(fresh) {
-                write_entry(&opts.cache_dir, &points[i], &p)?;
-                results[i] = Some(p);
-            }
+    for ((min_reps, max_reps), members) in &groups {
+        let cfgs: Vec<crate::SimConfig> = members
+            .iter()
+            .map(|&i| points[i].settings.sim_config(points[i].seed, points[i].trace.as_ref()))
+            .collect();
+        let fresh = run_points_on(pool, &cfgs, *min_reps, *max_reps);
+        for (&i, p) in members.iter().zip(fresh) {
+            write_entry(&opts.cache_dir, &points[i], &p)?;
+            results[i] = Some(p);
         }
     }
 
@@ -470,7 +549,12 @@ fn render_csv(
             match col.as_str() {
                 "series" => row.push(csv_field(&r.label)),
                 "topology" => row.push(point.settings.topology.to_string()),
-                "load" => row.push(format!("{}", r.load)),
+                // an offered-load point reports the ρ it asked for, not
+                // the arrival rate it converts to
+                "load" => row.push(match point.settings.load_unit {
+                    LoadUnit::Offered => format!("{}", point.settings.load),
+                    LoadUnit::Arrival => format!("{}", r.load),
+                }),
                 "reps" => row.push(r.replications.to_string()),
                 "means" => row.extend(r.means.iter().map(|m| format!("{m}"))),
                 "cis" => row.extend(r.ci95.iter().map(|c| format!("{c}"))),

@@ -27,7 +27,6 @@
 //! [`std::thread::available_parallelism`].
 
 use std::collections::VecDeque;
-use std::ops::Deref;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// A unit of work: one closed, `'static` closure (in practice one
@@ -146,25 +145,6 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Either the process-wide pool or a dedicated one; derefs to
-/// [`WorkerPool`] so call sites are agnostic.
-pub enum Pool {
-    /// Borrow of the process-wide shared pool.
-    Global(&'static WorkerPool),
-    /// A dedicated pool owned by the caller (joined on drop).
-    Owned(WorkerPool),
-}
-
-impl Deref for Pool {
-    type Target = WorkerPool;
-    fn deref(&self) -> &WorkerPool {
-        match self {
-            Pool::Global(p) => p,
-            Pool::Owned(p) => p,
-        }
-    }
-}
-
 static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
 
 /// Pool size used when nothing was configured: `PROCSIM_THREADS` if set
@@ -189,26 +169,10 @@ pub fn global() -> &'static WorkerPool {
 /// Returns `true` if the global pool now has that many workers — either
 /// because this call created it or it already matched. Returns `false`
 /// if the pool was already created with a different size (it is left
-/// untouched; callers wanting an exact size then use [`pool_with`]).
+/// untouched; callers wanting an exact size build a [`WorkerPool`]).
 pub fn configure_global(threads: usize) -> bool {
     let threads = threads.max(1);
     GLOBAL.get_or_init(|| WorkerPool::new(threads)).threads() == threads
-}
-
-/// Resolves a pool for a requested thread count: `None` borrows the
-/// shared global pool; an explicit count borrows the global pool only
-/// if it already exists with that exact size, and otherwise gets a
-/// dedicated pool. An explicit request never creates or pins the global
-/// pool — use [`configure_global`] for that (the CLIs do, so their
-/// `--threads` sizes the pool every later call shares).
-pub fn pool_with(threads: Option<usize>) -> Pool {
-    match threads {
-        None => Pool::Global(global()),
-        Some(n) => match GLOBAL.get() {
-            Some(g) if g.threads() == n.max(1) => Pool::Global(g),
-            _ => Pool::Owned(WorkerPool::new(n)),
-        },
-    }
 }
 
 #[cfg(test)]
@@ -288,11 +252,5 @@ mod tests {
     fn zero_threads_clamps_to_one() {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.threads(), 1);
-    }
-
-    #[test]
-    fn pool_with_none_is_global() {
-        let p = pool_with(None);
-        assert!(p.threads() >= 1);
     }
 }

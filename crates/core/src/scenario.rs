@@ -39,17 +39,20 @@
 //! **Precedence** (later wins): built-in paper defaults < `[defaults]` <
 //! matrix axis value < matching `[override.axis=value]` sections in file
 //! order. Every knob is validated as it is applied, so a malformed value
-//! is reported against the exact line that set it.
+//! is reported against the exact line that set it; so is a cross-knob
+//! conflict found at expansion (the parser records each assignment's
+//! line in [`Scenario::lines`]).
 //!
 //! [`render`](Scenario::render) writes a scenario back out in canonical
 //! form; `parse(render(s)) == s` is pinned by a property test.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use desim::SimRng;
 use mesh_alloc::{PageIndexing, StrategyKind};
 use mesh_sched::SchedulerKind;
-use workload::{factor_for_load, trace_to_jobs, Cm5Model, ParagonModel, SideDist};
+use workload::{factor_for_load, trace_to_jobs, Cm5Model, ParagonModel, SideDist, TraceWorkload};
 use wormnet::{Pattern, TopologyKind};
 
 use crate::config::{SimConfig, WorkloadSpec};
@@ -219,6 +222,11 @@ pub struct Scenario {
     pub overrides: Vec<OverrideRule>,
     /// CSV layout.
     pub output: OutputSpec,
+    /// The 1-based line of every knob assignment, keyed by its dotted
+    /// place (`defaults.trace`, `matrix.load`,
+    /// `override.workload=trace.measured`): provenance for errors found
+    /// at expansion, not content (`render` drops it).
+    pub lines: BTreeMap<String, usize>,
 }
 
 // ---------------------------------------------------------------------------
@@ -400,6 +408,7 @@ impl Scenario {
         let mut out_csv: Option<String> = None;
         let mut section = Section::None;
         let mut seen_sections: Vec<String> = Vec::new();
+        let mut lines: BTreeMap<String, usize> = BTreeMap::new();
 
         for (i, raw) in text.lines().enumerate() {
             let lineno = i + 1;
@@ -545,6 +554,7 @@ impl Scenario {
                     let v = parse_value(rawval, lineno, &place)?.scalar(lineno, &place)?;
                     // validate eagerly so the error points at this line
                     PointSettings::check_knob(key, &v, lineno, &place)?;
+                    lines.insert(place, lineno);
                     defaults.push((key.to_string(), v));
                 }
                 Section::Matrix => {
@@ -564,6 +574,7 @@ impl Scenario {
                     for v in &vs {
                         PointSettings::check_knob(key, v, lineno, &place)?;
                     }
+                    lines.insert(place, lineno);
                     matrix.push((key.to_string(), vs));
                 }
                 Section::Seed => {
@@ -593,6 +604,7 @@ impl Scenario {
                     let place = format!("override.{}={}.{key}", rule.axis, rule.value);
                     let v = parse_value(rawval, lineno, &place)?.scalar(lineno, &place)?;
                     PointSettings::check_knob(key, &v, lineno, &place)?;
+                    lines.insert(place, lineno);
                     overrides[idx].set.push((key.to_string(), v));
                 }
                 Section::Output => {
@@ -708,6 +720,7 @@ impl Scenario {
                 values: out_values,
                 csv: out_csv,
             },
+            lines,
         })
     }
 
@@ -770,9 +783,7 @@ impl Scenario {
 // point settings: the knob vocabulary and its precedence
 // ---------------------------------------------------------------------------
 
-/// Which job-stream generator a point uses (the subset of
-/// [`WorkloadSpec`] that is expressible declaratively; SWF trace replay
-/// keeps its dedicated `procsim trace` front-end).
+/// Which job-stream generator a point uses (every [`WorkloadSpec`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadName {
     /// Stochastic, uniform side lengths (the paper's default).
@@ -784,15 +795,19 @@ pub enum WorkloadName {
     /// Synthetic LANL CM-5 trace model: one fixed draw replayed by every
     /// replication (see [`PointSettings::sim_config`]).
     Cm5,
+    /// A real SWF trace file (the `trace` knob), replayed at an offered
+    /// load.
+    Trace,
 }
 
 impl WorkloadName {
     /// Every workload, in the order error messages list them.
-    pub const ALL: [WorkloadName; 4] = [
+    pub const ALL: [WorkloadName; 5] = [
         WorkloadName::Uniform,
         WorkloadName::Exponential,
         WorkloadName::Paragon,
         WorkloadName::Cm5,
+        WorkloadName::Trace,
     ];
 
     /// Scenario-file and CLI spelling.
@@ -802,6 +817,7 @@ impl WorkloadName {
             WorkloadName::Exponential => "exponential",
             WorkloadName::Paragon => "paragon",
             WorkloadName::Cm5 => "cm5",
+            WorkloadName::Trace => "trace",
         }
     }
 }
@@ -814,7 +830,41 @@ impl core::str::FromStr for WorkloadName {
         WorkloadName::ALL
             .into_iter()
             .find(|w| w.name() == s)
-            .ok_or_else(|| format!("unknown workload '{s}' (uniform, exponential, paragon, cm5)"))
+            .ok_or_else(|| {
+                format!("unknown workload '{s}' (uniform, exponential, paragon, cm5, trace)")
+            })
+    }
+}
+
+/// How a point's `load` knob is read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LoadUnit {
+    /// Jobs per time unit (every workload but `trace`).
+    Arrival,
+    /// Offered load ρ: the fraction of machine capacity the jobs occupy
+    /// in trace time (`trace` and `paragon` only).
+    Offered,
+}
+
+impl LoadUnit {
+    /// Scenario-file spelling.
+    pub fn name(self) -> &'static str {
+        match self {
+            LoadUnit::Arrival => "arrival",
+            LoadUnit::Offered => "offered",
+        }
+    }
+}
+
+impl core::str::FromStr for LoadUnit {
+    type Err = String;
+
+    /// Parses the [`LoadUnit::name`] spelling.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        [LoadUnit::Arrival, LoadUnit::Offered]
+            .into_iter()
+            .find(|u| u.name() == s)
+            .ok_or_else(|| format!("unknown load_unit '{s}' (arrival, offered)"))
     }
 }
 
@@ -840,7 +890,7 @@ pub struct PointSettings {
     pub scheduler: SchedulerKind,
     /// Job-stream generator.
     pub workload: WorkloadName,
-    /// System load (jobs per time unit).
+    /// System load, in [`PointSettings::load_unit`].
     pub load: f64,
     /// Mean per-processor message count (stochastic workloads).
     pub num_mes: f64,
@@ -854,13 +904,20 @@ pub struct PointSettings {
     pub min_reps: usize,
     /// Replication budget per point.
     pub max_reps: usize,
+    /// Whether `load` is an arrival rate or an offered load.
+    pub load_unit: LoadUnit,
+    /// SWF file the `trace` workload replays, resolved against the
+    /// working directory (empty = none; other workloads ignore it).
+    pub trace: String,
 }
 
 /// Every point knob name, in the canonical spec-string order (the
-/// campaign-level `seed` is not a point knob).
-pub const KNOBS: [&str; 16] = [
+/// campaign-level `seed` is not a point knob; the last two enter the
+/// spec string only for offered-load and trace points).
+pub const KNOBS: [&str; 18] = [
     "mesh_w", "mesh_l", "ts", "plen", "pattern", "topology", "strategy", "scheduler",
     "workload", "load", "num_mes", "runtime_scale", "warmup", "measured", "min_reps", "max_reps",
+    "load_unit", "trace",
 ];
 
 impl Default for PointSettings {
@@ -885,6 +942,8 @@ impl Default for PointSettings {
             measured: 400,
             min_reps: 3,
             max_reps: 5,
+            load_unit: LoadUnit::Arrival,
+            trace: String::new(),
         }
     }
 }
@@ -982,6 +1041,8 @@ impl PointSettings {
                 self.min_reps = n;
             }
             "max_reps" => self.max_reps = nonzero(knob_uint::<usize>(v, line, place)?, line, place)?,
+            "load_unit" => self.load_unit = knob_parse(v, line, place)?,
+            "trace" => self.trace = knob_str(v, line, place)?.to_string(),
             other => {
                 return Err(ScenarioError::new(
                     line,
@@ -993,19 +1054,41 @@ impl PointSettings {
         Ok(())
     }
 
-    /// Cross-knob validation after precedence resolution.
-    pub fn validate(&self, place: &str) -> Result<(), ScenarioError> {
+    /// Cross-knob validation after precedence resolution. An error names
+    /// the knobs to blame, most specific first (the caller reports the
+    /// first one a scenario line set), and how to fix it.
+    pub fn validate(&self) -> Result<(), (&'static [&'static str], String)> {
         if self.max_reps < self.min_reps {
-            return Err(ScenarioError::new(
-                0,
-                place,
+            return Err((
+                &["max_reps", "min_reps"],
                 format!(
                     "max_reps ({}) < min_reps ({}) after overrides",
                     self.max_reps, self.min_reps
                 ),
             ));
         }
-        Ok(())
+        match (self.workload, self.load_unit) {
+            (WorkloadName::Trace, _) if self.trace.is_empty() => Err((
+                &["workload"],
+                "workload \"trace\" needs a file: add trace = \"<path.swf>\"".into(),
+            )),
+            (WorkloadName::Trace, LoadUnit::Arrival) => Err((
+                &["load_unit", "workload"],
+                "workload \"trace\" reads load as an offered load: set load_unit = \"offered\""
+                    .into(),
+            )),
+            (WorkloadName::Uniform | WorkloadName::Exponential | WorkloadName::Cm5, LoadUnit::Offered) => {
+                Err((
+                    &["load_unit"],
+                    format!(
+                        "load_unit = \"offered\" applies only to the trace and paragon workloads; \
+                         {} reads load as an arrival rate: set load_unit = \"arrival\"",
+                        self.workload.name()
+                    ),
+                ))
+            }
+            _ => Ok(()),
+        }
     }
 
     /// The canonical rendered spelling of one knob, as it would appear
@@ -1029,18 +1112,31 @@ impl PointSettings {
             "measured" => self.measured.to_string(),
             "min_reps" => self.min_reps.to_string(),
             "max_reps" => self.max_reps.to_string(),
+            "load_unit" => self.load_unit.name().to_string(),
+            "trace" => self.trace.clone(),
             _ => return None,
         })
     }
 
     /// Builds the [`SimConfig`] of this point (its workload spec and
-    /// simulator knobs; `seed` is the derived per-point seed).
+    /// simulator knobs; `seed` is the derived per-point seed). `trace` is
+    /// the opened file of a `trace` point ([`crate::campaign::expand`]
+    /// opens it, `procsim trace` opens its own); other workloads ignore
+    /// it.
     ///
     /// `cm5` replays one fixed draw of [`Cm5Model`] (from
     /// `SimRng::new(7)`) with arrivals scaled by
     /// `factor_for_load(1186.7, load)`, so every replication and point
-    /// sees the same job sequence.
-    pub fn sim_config(&self, seed: u64) -> SimConfig {
+    /// sees the same job sequence. `paragon` at an offered load ρ runs at
+    /// the arrival load that gives one fixed reference draw of the model
+    /// (`ParagonModel::default()` from `SimRng::new(0xCA11)`) offered
+    /// load ρ on this mesh.
+    ///
+    /// # Panics
+    ///
+    /// On a `trace` point without its opened trace.
+    pub fn sim_config(&self, seed: u64, trace: Option<&Arc<TraceWorkload>>) -> SimConfig {
+        let machine = u32::from(self.mesh_w) * u32::from(self.mesh_l);
         let workload = match self.workload {
             WorkloadName::Uniform => WorkloadSpec::Stochastic {
                 sides: SideDist::Uniform,
@@ -1054,7 +1150,10 @@ impl PointSettings {
             },
             WorkloadName::Paragon => WorkloadSpec::SyntheticTrace {
                 model: ParagonModel::default(),
-                load: self.load,
+                load: match self.load_unit {
+                    LoadUnit::Arrival => self.load,
+                    LoadUnit::Offered => paragon_reference().arrival_load(machine, self.load),
+                },
                 runtime_scale: self.runtime_scale,
             },
             WorkloadName::Cm5 => {
@@ -1068,6 +1167,12 @@ impl PointSettings {
                     self.runtime_scale,
                 )))
             }
+            WorkloadName::Trace => WorkloadSpec::Trace {
+                // procsim-lint: allow(D004): invariant: expand opens the trace of every trace point; a caller building one by hand passes its own
+                trace: trace.expect("invariant: a trace point comes with its opened trace").clone(),
+                load: self.load,
+                runtime_scale: self.runtime_scale,
+            },
         };
         let mut cfg = SimConfig::paper(self.strategy, self.scheduler, workload, seed);
         cfg.mesh_w = self.mesh_w;
@@ -1080,6 +1185,14 @@ impl PointSettings {
         cfg.measured_jobs = self.measured;
         cfg
     }
+}
+
+/// The fixed draw of the Paragon model that converts an offered load to
+/// the model's arrival load.
+fn paragon_reference() -> TraceWorkload {
+    let records = ParagonModel::default().generate(&mut SimRng::new(0xCA11));
+    // procsim-lint: allow(D004): invariant: the default model draws 10 658 jobs over a positive span
+    TraceWorkload::new(records).expect("invariant: the Paragon reference draw is a valid trace")
 }
 
 fn nonzero<T: PartialEq + From<u8> + core::fmt::Display>(

@@ -10,7 +10,7 @@
 //!   merges;
 //! * thread count and `--force` never change bytes.
 
-use procsim_core::{run_campaign, CampaignOptions, Scenario};
+use procsim_core::{CampaignError, CampaignOptions, CampaignOutcome, Scenario, WorkerPool};
 use std::path::{Path, PathBuf};
 
 /// A 4-point campaign tiny enough for a debug-profile test (8×8 mesh,
@@ -44,12 +44,20 @@ fn cache_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn opts(dir: &Path, threads: usize) -> CampaignOptions {
+fn opts(dir: &Path) -> CampaignOptions {
     CampaignOptions {
-        threads: Some(threads),
         cache_dir: dir.to_path_buf(),
         force: false,
     }
+}
+
+/// Runs `s` on a fresh pool of `threads` workers.
+fn run_campaign(
+    s: &Scenario,
+    opts: &CampaignOptions,
+    threads: usize,
+) -> Result<CampaignOutcome, CampaignError> {
+    procsim_core::run_campaign(s, opts, &WorkerPool::new(threads))
 }
 
 fn point_files(dir: &Path) -> Vec<PathBuf> {
@@ -68,7 +76,7 @@ fn interrupted_campaign_resumes_byte_identical() {
     let s = scenario();
 
     // uninterrupted reference run
-    let fresh = run_campaign(&s, &opts(&dir, 2)).expect("fresh run");
+    let fresh = run_campaign(&s, &opts(&dir), 2).expect("fresh run");
     assert_eq!((fresh.executed, fresh.cached), (4, 0));
     assert!(fresh.from_cache.iter().all(|&c| !c));
     let files = point_files(&dir);
@@ -82,7 +90,7 @@ fn interrupted_campaign_resumes_byte_identical() {
     for f in files.iter().step_by(2) {
         std::fs::remove_file(f).unwrap();
     }
-    let resumed = run_campaign(&s, &opts(&dir, 2)).expect("resumed run");
+    let resumed = run_campaign(&s, &opts(&dir), 2).expect("resumed run");
     assert_eq!(
         (resumed.executed, resumed.cached),
         (2, 2),
@@ -96,7 +104,7 @@ fn interrupted_campaign_resumes_byte_identical() {
     }
 
     // warm: everything cached, nothing executed, same bytes again
-    let warm = run_campaign(&s, &opts(&dir, 2)).expect("warm run");
+    let warm = run_campaign(&s, &opts(&dir), 2).expect("warm run");
     assert_eq!((warm.executed, warm.cached), (0, 4));
     assert!(warm.from_cache.iter().all(|&c| c));
     assert_eq!(warm.csv, fresh.csv);
@@ -109,18 +117,18 @@ fn thread_count_and_force_never_change_bytes() {
     let dir1 = cache_dir("t1");
     let dir4 = cache_dir("t4");
     let s = scenario();
-    let a = run_campaign(&s, &opts(&dir1, 1)).expect("1 thread");
-    let b = run_campaign(&s, &opts(&dir4, 4)).expect("4 threads");
+    let a = run_campaign(&s, &opts(&dir1), 1).expect("1 thread");
+    let b = run_campaign(&s, &opts(&dir4), 4).expect("4 threads");
     assert_eq!(a.csv, b.csv, "thread count changes wall-clock only");
 
     // --force ignores (and rewrites) a warm cache, same bytes
     let forced = run_campaign(
         &s,
         &CampaignOptions {
-            threads: Some(4),
             cache_dir: dir4.clone(),
             force: true,
         },
+        4,
     )
     .expect("forced run");
     assert_eq!((forced.executed, forced.cached), (4, 0));
@@ -134,14 +142,14 @@ fn thread_count_and_force_never_change_bytes() {
 fn changed_fidelity_knob_reruns_exactly_the_affected_points() {
     let dir = cache_dir("invalidate");
     let s = scenario();
-    let base = run_campaign(&s, &opts(&dir, 2)).expect("base run");
+    let base = run_campaign(&s, &opts(&dir), 2).expect("base run");
     assert_eq!((base.executed, base.cached), (4, 0));
 
     // bump the measured-job budget for MBS points only: their specs (and
     // so cache keys) change; the GABL points must stay cache hits
     let s2 = Scenario::parse(&format!("{TINY}[override.strategy=mbs]\nmeasured = 18\n"))
         .expect("override variant is valid");
-    let bumped = run_campaign(&s2, &opts(&dir, 2)).expect("bumped run");
+    let bumped = run_campaign(&s2, &opts(&dir), 2).expect("bumped run");
     assert_eq!(
         (bumped.executed, bumped.cached),
         (2, 2),
@@ -164,7 +172,7 @@ fn changed_fidelity_knob_reruns_exactly_the_affected_points() {
     }
     // and rerunning the *original* scenario is still fully warm: the
     // bumped entries landed under new keys without evicting the old ones
-    let warm = run_campaign(&s, &opts(&dir, 2)).expect("original still warm");
+    let warm = run_campaign(&s, &opts(&dir), 2).expect("original still warm");
     assert_eq!((warm.executed, warm.cached), (0, 4));
     assert_eq!(warm.csv, base.csv);
 
@@ -175,7 +183,7 @@ fn changed_fidelity_knob_reruns_exactly_the_affected_points() {
 fn extended_matrix_runs_only_the_new_points() {
     let dir = cache_dir("extend");
     let s = scenario();
-    let base = run_campaign(&s, &opts(&dir, 2)).expect("base run");
+    let base = run_campaign(&s, &opts(&dir), 2).expect("base run");
 
     // a third strategy extends the campaign. Appending to the FIRST
     // axis keeps every existing point's seed slot (the slot is the
@@ -188,7 +196,7 @@ fn extended_matrix_runs_only_the_new_points() {
         "strategy = [\"gabl\", \"mbs\", \"ff\"]",
     );
     let s2 = Scenario::parse(&extended).expect("extended scenario is valid");
-    let ext = run_campaign(&s2, &opts(&dir, 2)).expect("extended run");
+    let ext = run_campaign(&s2, &opts(&dir), 2).expect("extended run");
     assert_eq!((ext.executed, ext.cached), (2, 4), "only the new strategy runs");
 
     // the shared points' CSV rows are identical — the new rows interleave
@@ -207,7 +215,7 @@ fn extended_matrix_runs_only_the_new_points() {
 fn corrupt_or_mismatched_entries_degrade_to_misses() {
     let dir = cache_dir("corrupt");
     let s = scenario();
-    let base = run_campaign(&s, &opts(&dir, 2)).expect("base run");
+    let base = run_campaign(&s, &opts(&dir), 2).expect("base run");
     let files = point_files(&dir);
 
     // truncate one entry mid-file; overwrite another with a wrong spec
@@ -218,7 +226,7 @@ fn corrupt_or_mismatched_entries_degrade_to_misses() {
     let swapped = text.replacen("spec ", "spec STALE|", 1);
     std::fs::write(&files[1], swapped).unwrap();
 
-    let again = run_campaign(&s, &opts(&dir, 2)).expect("rerun over damage");
+    let again = run_campaign(&s, &opts(&dir), 2).expect("rerun over damage");
     assert_eq!(
         (again.executed, again.cached),
         (2, 2),

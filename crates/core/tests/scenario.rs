@@ -2,8 +2,8 @@
 //! files): per-field malformed-input coverage with structured errors
 //! (line + dotted place, mirroring `SwfError`'s style), the
 //! defaults/override precedence table, expansion order and seed-slot
-//! semantics, and a property test pinning the canonical-render round
-//! trip `parse(render(s)) == s`.
+//! semantics, trace-file knobs and their cache keys, and a property test
+//! pinning the canonical-render round trip `parse(render(s)) == s`.
 
 use procsim_core::scenario::{
     cli_scheduler_name, cli_strategy_name, Scenario, ScenarioError, Value, KNOBS,
@@ -371,6 +371,10 @@ fn pattern_and_indexing_are_in_the_cache_key() {
 #[test]
 fn checked_in_scenarios_load_and_cover_every_golden() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    // trace paths resolve against the working directory, and the
+    // checked-in scenarios name theirs from the repository root (every
+    // other test here uses absolute paths)
+    std::env::set_current_dir(&root).unwrap();
     let stems = |dir: &str, ext: &str| -> Vec<String> {
         let mut v: Vec<String> = std::fs::read_dir(root.join(dir))
             .unwrap()
@@ -423,6 +427,146 @@ fn expand_rejects_contradictory_reps() {
     .unwrap();
     let e = expand(&s).unwrap_err();
     assert!(e.msg.contains("max_reps"), "{e}");
+}
+
+// ---------------------------------------------------------------------------
+// trace files and load units
+// ---------------------------------------------------------------------------
+
+/// The checked-in SWF sample (600 jobs).
+const SAMPLE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/traces/sdsc_sample.swf");
+
+/// A scratch path unique to this test process.
+fn scratch(name: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("procsim_scenario_{}_{name}", std::process::id()))
+}
+
+fn expand_err(text: &str) -> ScenarioError {
+    let s = Scenario::parse(text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+    match expand(&s) {
+        Err(e) => e,
+        Ok(points) => panic!("expected an expansion error, got {} points", points.len()),
+    }
+}
+
+/// Asserts one expansion error: its line, place and a message substring.
+fn assert_expand_err(text: &str, line: usize, place: &str, msg: &str) {
+    let e = expand_err(text);
+    assert_eq!((e.line, e.place.as_str()), (line, place), "{e}");
+    assert!(e.msg.contains(msg), "want {msg:?} in {e}");
+}
+
+/// A trace campaign on `path`, with `extra` lines appended to `[defaults]`
+/// (lines 1-3 are the campaign header; `trace` is line 5).
+fn trace_scenario(path: &str, extra: &str) -> String {
+    format!(
+        "[campaign]\nname = \"t\"\nseed = 1\n[defaults]\ntrace = {path:?}\n{extra}\
+         [matrix]\nworkload = [\"trace\"]\nload = [0.5]\n"
+    )
+}
+
+#[test]
+fn trace_errors_name_the_knob_line_and_place() {
+    let offered = "load_unit = \"offered\"\n";
+
+    // a missing file, and a malformed SWF line (the SWF line is named too)
+    let missing = scratch("missing.swf");
+    let missing = missing.to_str().unwrap();
+    assert_expand_err(&trace_scenario(missing, offered), 5, "defaults.trace", "cannot read trace");
+    let bad = scratch("bad.swf");
+    std::fs::write(&bad, "; header\n1 0 3 100 32 -1 -1 32\n2 oops 3 100 32 -1 -1 32\n").unwrap();
+    let e = expand_err(&trace_scenario(bad.to_str().unwrap(), offered));
+    assert_eq!((e.line, e.place.as_str()), (5, "defaults.trace"), "{e}");
+    assert!(e.msg.contains("SWF line 3") && e.msg.contains("submit time"), "{e}");
+    let _ = std::fs::remove_file(&bad);
+
+    // the trace workload without a file: blamed on the workload axis
+    assert_expand_err(
+        "[campaign]\nname = \"t\"\nseed = 1\n[defaults]\nload_unit = \"offered\"\n\
+         [matrix]\nworkload = [\"trace\"]\n",
+        7,
+        "matrix.workload",
+        "add trace = \"<path.swf>\"",
+    );
+
+    // trace with an arrival load: on load_unit when a line set it, else
+    // on the workload
+    assert_expand_err(
+        &trace_scenario(SAMPLE, "load_unit = \"arrival\"\n"),
+        6,
+        "defaults.load_unit",
+        "set load_unit = \"offered\"",
+    );
+    assert_expand_err(&trace_scenario(SAMPLE, ""), 7, "matrix.workload", "set load_unit = \"offered\"");
+
+    // an offered load on a workload that reads only arrival rates
+    for w in ["uniform", "exponential", "cm5"] {
+        assert_expand_err(
+            &format!(
+                "[campaign]\nname = \"t\"\nseed = 1\n[defaults]\nload_unit = \"offered\"\n\
+                 [matrix]\nworkload = [{w:?}]\n"
+            ),
+            5,
+            "defaults.load_unit",
+            "set load_unit = \"arrival\"",
+        );
+    }
+
+    // a replication budget longer than the 600-job sample, here blamed on
+    // an override's line
+    let long = format!(
+        "{}[override.workload=trace]\nmeasured = 550\n",
+        trace_scenario(SAMPLE, offered)
+    );
+    assert_expand_err(
+        &long,
+        11,
+        "override.workload=trace.measured",
+        "has 600 jobs, fewer than warmup + measured = 650",
+    );
+
+    // the values themselves are checked at parse time
+    assert_err(&format!("{MINIMAL}[defaults]\nload_unit = \"rho\"\n"), 8, "defaults.load_unit", "arrival, offered");
+    assert_err(&format!("{MINIMAL}[defaults]\ntrace = 3\n"), 8, "defaults.trace", "quoted string");
+}
+
+/// Offered-load and trace points add the load unit, the trace path and
+/// a hash of the trace's bytes to their cache keys: editing one record
+/// of a replayed trace re-keys its points and no others.
+#[test]
+fn trace_content_is_in_the_cache_key() {
+    let copy = scratch("copy.swf");
+    std::fs::copy(SAMPLE, &copy).unwrap();
+    let text = format!(
+        "[campaign]\nname = \"t\"\nseed = 1\n\
+         [defaults]\ntrace = {:?}\nload_unit = \"offered\"\n\
+         [matrix]\nworkload = [\"trace\", \"paragon\"]\nload = [0.5, 0.7]\n",
+        copy.to_str().unwrap()
+    );
+    let s = Scenario::parse(&text).unwrap();
+    let before = expand(&s).unwrap();
+    assert_eq!(before.len(), 4);
+    for p in &before[..2] {
+        assert!(p.trace.as_ref().is_some_and(|t| t.len() == 600), "{p:?}");
+        let tail = format!("|load_unit=offered|trace={}|trace_fnv1a=", copy.to_str().unwrap());
+        assert!(p.spec.contains(&tail), "{}", p.spec);
+    }
+    for p in &before[2..] {
+        assert!(p.trace.is_none());
+        assert!(p.spec.ends_with("|load_unit=offered"), "{}", p.spec);
+    }
+
+    // one record's runtime changes, its line length does not
+    let original = std::fs::read_to_string(&copy).unwrap();
+    let edited = original.replacen("\n1 233 -1 2818 ", "\n1 233 -1 2819 ", 1);
+    assert_ne!(edited, original);
+    std::fs::write(&copy, edited).unwrap();
+    let after = expand(&s).unwrap();
+    for (b, a) in before.iter().zip(&after) {
+        let is_trace = b.settings.workload.name() == "trace";
+        assert_eq!(b.hash != a.hash, is_trace, "{} -> {}", b.spec, a.spec);
+    }
+    let _ = std::fs::remove_file(&copy);
 }
 
 // ---------------------------------------------------------------------------
@@ -541,18 +685,20 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
                     seed_axes,
                     overrides,
                     output,
+                    lines: Default::default(),
                 }
             },
         )
 }
 
-/// `OverrideRule::line` is provenance (where the section header sat in
-/// the file), not content — zero it before comparing a constructed
-/// scenario with its re-parse.
+/// `OverrideRule::line` and `Scenario::lines` are provenance (where a
+/// header or an assignment sat in the file), not content — clear them
+/// before comparing a constructed scenario with its re-parse.
 fn strip_lines(mut s: Scenario) -> Scenario {
     for r in &mut s.overrides {
         r.line = 0;
     }
+    s.lines.clear();
     s
 }
 

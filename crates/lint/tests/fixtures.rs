@@ -54,14 +54,14 @@ fn d002_triggers_on_wall_clock() {
 }
 
 #[test]
-fn d002_allows_wall_clock_in_bench_crates() {
+fn d002_allows_wall_clock_only_in_binaries() {
     let cfg = Config::deny_all("/nonexistent");
-    let rep = lint_source(
-        &cfg,
-        "crates/bench/src/lib.rs",
-        &fixture("d002_trigger.rs"),
-    );
-    assert!(rep.findings.is_empty(), "{:?}", rep.findings);
+    let src = fixture("d002_trigger.rs");
+    let bin = lint_source(&cfg, "crates/core/src/bin/tool.rs", &src);
+    assert!(bin.findings.is_empty(), "{:?}", bin.findings);
+    // no library crate is exempt, whatever its name
+    let lib = lint_source(&cfg, "crates/bench/src/lib.rs", &src);
+    assert_eq!(rules_of(&lib), ["D002", "D002"], "{:?}", lib.findings);
 }
 
 #[test]

@@ -23,9 +23,9 @@
 //! in the wraparound links and the dateline virtual channels — see
 //! `docs/TOPOLOGIES.md`.
 //!
-//! `run` builds its point through [`PointSettings`], so every strategy,
-//! scheduler and workload spelling (and its meaning) is the scenario
-//! format's.
+//! `run` and `trace` build their points through [`PointSettings`], so
+//! every strategy, scheduler and workload spelling (and its meaning) is
+//! the scenario format's.
 //!
 //! A flag the subcommand does not take, a valued flag without its value,
 //! an unknown name and a malformed number are usage errors: `error: …`
@@ -42,9 +42,9 @@
 use procsim::{
     cached_count, csv_field, derive_seed, expand, run_campaign, run_point, run_points,
     write_swf_to, CampaignOptions, Cm5Model, ParagonModel, PointResult, PointSettings, Scenario,
-    SimConfig, SimRng, StopReason, StrategyKind, TopologyKind, TraceWorkload, WorkloadSpec,
+    SimConfig, SimRng, StopReason, StrategyKind, TopologyKind, TraceWorkload,
 };
-use procsim_core::scenario::Value;
+use procsim_core::scenario::{LoadUnit, Value, WorkloadName};
 use std::io::Write;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -200,17 +200,21 @@ fn die(msg: &str) -> ! {
 fn config_from(a: &Args) -> SimConfig {
     let load = load_flag(a, 0.0008);
     let jobs = jobs_flag(a, 400);
+    let workload = named(a, "workload", "uniform");
+    if workload == WorkloadName::Trace {
+        die("--workload trace needs a trace file: use `procsim trace <file.swf>`");
+    }
     let settings = PointSettings {
         strategy: named(a, "strategy", "gabl"),
         scheduler: named(a, "scheduler", "fcfs"),
-        workload: named(a, "workload", "uniform"),
+        workload,
         topology: named(a, "topology", "mesh"),
         load,
         warmup: (jobs / 4).max(10),
         measured: jobs,
         ..PointSettings::default()
     };
-    settings.sim_config(num(a, "seed").unwrap_or(42))
+    settings.sim_config(num(a, "seed").unwrap_or(42), None)
 }
 
 fn print_result(p: &procsim::PointResult) {
@@ -264,6 +268,8 @@ fn run_trace(a: &Args, reps: usize) {
         .unwrap_or_else(|| die("trace needs a .swf file path"));
     let load = load_flag(a, 0.7);
     let req_jobs = jobs_flag(a, 400);
+    let scale: f64 = num(a, "scale").unwrap_or(360.0);
+    check_as_knob("scale", "runtime_scale", Value::Float(scale));
     let trace = TraceWorkload::open(path).unwrap_or_else(|e| die(&e.to_string()));
     let (mesh_w, mesh_l) = procsim::PAPER_MESH;
     let machine = mesh_w as u32 * mesh_l as u32;
@@ -284,10 +290,6 @@ fn run_trace(a: &Args, reps: usize) {
             "--factor was replaced by --load (target offered load, e.g. 0.7); \
              a factor f corresponds to --load <native_load / f> — see docs/WORKLOADS.md",
         );
-    }
-    let scale: f64 = num(a, "scale").unwrap_or(360.0);
-    if !(scale > 0.0 && scale.is_finite()) {
-        die("--scale must be a positive number (seconds of runtime per message)");
     }
     let topology: TopologyKind = named(a, "topology", "mesh");
     let factor = trace.factor_for_offered_load(machine, load);
@@ -318,22 +320,23 @@ fn run_trace(a: &Args, reps: usize) {
     let cfgs: Vec<SimConfig> = strategies
         .iter()
         .map(|&strategy| {
-            let mut cfg = SimConfig::paper(
+            let settings = PointSettings {
                 strategy,
                 scheduler,
-                WorkloadSpec::Trace {
-                    trace: trace.clone(),
-                    load,
-                    runtime_scale: scale,
-                },
-                derive_seed(seed, strategy_stream(&strategy.to_string())),
-            );
+                topology,
+                workload: WorkloadName::Trace,
+                load_unit: LoadUnit::Offered,
+                load,
+                runtime_scale: scale,
+                warmup,
+                measured: jobs,
+                trace: path.clone(),
+                ..PointSettings::default()
+            };
             // same seed on either topology: a mesh and a torus replay of
             // one strategy see identical job streams (paired comparison)
-            cfg.topology = topology;
-            cfg.measured_jobs = jobs;
-            cfg.warmup_jobs = warmup;
-            cfg
+            let seed = derive_seed(seed, strategy_stream(&strategy.to_string()));
+            settings.sim_config(seed, Some(&trace))
         })
         .collect();
     // one batch: every strategy's replications share the worker pool
@@ -428,6 +431,11 @@ fn run_gen_trace(a: &Args) {
         .unwrap_or_else(|| die("gen-trace needs an output .swf path"));
     let model = a.map.get("model").map(|s| s.as_str()).unwrap_or("paragon");
     let jobs: usize = num(a, "jobs").unwrap_or(600);
+    if jobs < 2 {
+        // a trace needs an inter-arrival time to scale; refuse before
+        // creating a file nothing can replay
+        die(&format!("--jobs must be at least 2 for a trace, got {jobs}"));
+    }
     let seed: u64 = num(a, "seed").unwrap_or(2008);
     if let Some(dir) = std::path::Path::new(out).parent() {
         if !dir.as_os_str().is_empty() {
@@ -526,12 +534,10 @@ fn run_campaign_cmd(a: &Args) {
         return;
     }
 
-    let opts = CampaignOptions {
-        threads: None, // the shared pool; sized by --threads / PROCSIM_THREADS
-        cache_dir,
-        force,
-    };
-    let outcome = run_campaign(&scenario, &opts).unwrap_or_else(|e| die(&e.to_string()));
+    let opts = CampaignOptions { cache_dir, force };
+    // the shared pool, sized by --threads / PROCSIM_THREADS
+    let outcome = run_campaign(&scenario, &opts, procsim::pool::global())
+        .unwrap_or_else(|e| die(&e.to_string()));
     if let Some(dir) = std::path::Path::new(&csv_path).parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir)
@@ -587,13 +593,15 @@ fn main() {
             println!("so interrupted or extended campaigns resume by rerunning only what's");
             println!("missing — output is byte-identical at any thread count. Every paper");
             println!("figure is one: procsim campaign scenarios/fig02.toml (figures 2-16),");
-            println!("and so is every ablation: scenarios/ablation_*.toml.");
+            println!("and so is every ablation (scenarios/ablation_*.toml) and the");
+            println!("trace-vs-model comparison (scenarios/trace_vs_synthetic.toml).");
             println!();
             println!("strategies: gabl paging0..paging3 mbs ff bf random mc");
             println!("            paging<i>-<indexing> picks a page indexing (default row-major):");
             println!("            row-major shuffled-row-major snake-like shuffled-snake-like");
             println!("schedulers: fcfs ssd sjf ljf easy fcfs-window<N> (N >= 1)");
-            println!("workloads:  uniform exponential paragon cm5");
+            println!("workloads:  uniform exponential paragon cm5 (a campaign also takes");
+            println!("            trace; the CLI replays a trace with procsim trace)");
             println!("topologies: mesh torus   (docs/TOPOLOGIES.md)");
             println!();
             println!("trace --load is the target offered load (fraction of machine capacity");

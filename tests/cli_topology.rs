@@ -126,6 +126,16 @@ fn unknown_topology_is_rejected_with_the_valid_set() {
 }
 
 #[test]
+fn trace_workload_is_pointed_at_procsim_trace() {
+    // `trace` is a scenario-format workload, but `run` has no file flag
+    let out = tiny_run(&["--workload", "trace"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing may run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("use `procsim trace <file.swf>`"), "{stderr}");
+}
+
+#[test]
 fn unknown_workload_is_rejected_with_the_valid_set() {
     let out = tiny_run(&["--workload", "bogus"]);
     assert_eq!(out.status.code(), Some(2));

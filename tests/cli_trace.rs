@@ -92,6 +92,8 @@ fn degenerate_load_and_job_count_are_rejected() {
         ("load", "nan", "must be a positive finite"),
         ("load", "inf", "must be a positive finite"),
         ("jobs", "0", "must be non-zero"),
+        ("scale", "0", "must be a positive finite"),
+        ("scale", "-360", "must be a positive finite"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_procsim"))
             .args(["trace", SAMPLE, &format!("--{flag}"), value])
@@ -101,6 +103,24 @@ fn degenerate_load_and_job_count_are_rejected() {
         assert!(out.stdout.is_empty(), "--{flag} {value}: nothing may run");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(&format!("--{flag} {why}")), "{stderr}");
+    }
+}
+
+#[test]
+fn gen_trace_rejects_fewer_than_two_jobs_before_writing() {
+    // a trace needs an inter-arrival time; nothing could replay the file
+    for jobs in ["0", "1"] {
+        let out_path = std::env::temp_dir()
+            .join(format!("procsim_gen_{jobs}_{}.swf", std::process::id()));
+        let _ = std::fs::remove_file(&out_path);
+        let out = Command::new(env!("CARGO_BIN_EXE_procsim"))
+            .args(["gen-trace", out_path.to_str().unwrap(), "--jobs", jobs])
+            .output()
+            .expect("procsim binary runs");
+        assert_eq!(out.status.code(), Some(2), "--jobs {jobs}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--jobs must be at least 2"), "{stderr}");
+        assert!(!out_path.exists(), "--jobs {jobs} must not create the file");
     }
 }
 
